@@ -20,7 +20,6 @@ from .linalg import (
 from .sketch import (
     RsvdOutput,
     SketchConfig,
-    power_sketch,
     rs_rsvd_asym,
     rs_rsvd_sym,
     rs_rsvd_sym_chain,
@@ -51,7 +50,6 @@ from .applications import (
 from .theory import (
     RateModel,
     RateVerdict,
-    clt_gamma_sbm,
     power_diff_expansion,
     rate_exponent,
     vstar_oracle,

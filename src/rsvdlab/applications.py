@@ -2,7 +2,7 @@
 clustering for community detection, matrix completion with entrywise
 confidence intervals, and PCA from partially observed data."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Optional
 
@@ -57,9 +57,7 @@ def rsvd_spectral_cluster(a, d, n_clusters, cfg: SketchConfig,
         raise ValueError("adjacency must be binary")
     if d > cfg.k_tilde:
         raise ValueError("embedding dimension d must be <= k_tilde")
-    cfg_d = SketchConfig(k=d, k_tilde=cfg.k_tilde, a_n=cfg.a_n, g=cfg.g,
-                         stream=cfg.stream)
-    out = rs_rsvd_sym(a, cfg_d)
+    out = rs_rsvd_sym(a, replace(cfg, k=d))
     tau_hat = cluster_rows(out.u_hat_g, n_clusters,
                            cfg.stream.child("clustering"), method=clusterer)
     result = ClusteringResult(tau_hat=tau_hat, u_hat_g=out.u_hat_g)
@@ -140,9 +138,7 @@ def rsvd_complete(t_hat, p, k, cfg: SketchConfig, mode="one_sided",
     estimate the sampling rate from the data (or the supplied mask).
     """
     t_hat, p_used = _completion_inputs(t_hat, p, mode, mask)
-    cfg_k = SketchConfig(k=k, k_tilde=cfg.k_tilde, a_n=cfg.a_n, g=cfg.g,
-                         stream=cfg.stream)
-    out = rs_rsvd_sym(t_hat / p_used, cfg_k, low_rank_mode=mode)
+    out = rs_rsvd_sym(t_hat / p_used, replace(cfg, k=k), low_rank_mode=mode)
     return CompletionResult(
         t_hat_g=out.low_rank, u_hat_g=out.u_hat_g, mode=mode,
         p_used=p_used, rsvd=out,
@@ -221,6 +217,4 @@ def rsvd_missing_pca(x_obs, p, k, cfg: SketchConfig) -> np.ndarray:
     estimated d x k basis.
     """
     q = missing_pca_gram(x_obs, p)
-    cfg_k = SketchConfig(k=k, k_tilde=cfg.k_tilde, a_n=cfg.a_n, g=cfg.g,
-                         stream=cfg.stream)
-    return rs_rsvd_sym(q, cfg_k).u_hat_g
+    return rs_rsvd_sym(q, replace(cfg, k=k)).u_hat_g

@@ -10,7 +10,6 @@ seeds), so reruns with the same flags are byte-identical.  Exit codes:
 import argparse
 from importlib import resources
 import json
-import math
 import os
 from pathlib import Path
 import sys
@@ -27,7 +26,7 @@ from .applications import (
 )
 from .clustering import DegenerateClusteringError
 from .harness import emit_csv, load_plan, run_plan
-from .linalg import RankDeficiencyError
+from .linalg import RankDeficiencyError, symmetry_defect
 from .mmio import read_matrix_market, write_csv, write_matrix_market
 from .models import (
     gen_completion,
@@ -37,7 +36,7 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream
-from .sketch import SketchConfig, rs_rsvd_asym, rs_rsvd_sym
+from .sketch import SketchConfig, resolve_a_n, rs_rsvd_asym, rs_rsvd_sym
 
 DEFAULT_SEED = 20240501
 
@@ -79,22 +78,13 @@ def _parse_gen(spec_str):
     return kind, params
 
 
-def _resolve_a_n(args, n):
-    if args.an == "log":
-        return max(1, math.ceil(math.log(max(n, 2))))
-    try:
-        value = int(args.an)
-    except ValueError as exc:
-        raise UsageError(f"--an must be an integer or 'log', got {args.an!r}") from exc
-    if value < 1:
-        raise UsageError("--an must be >= 1")
-    return value
-
-
 def _sketch_config(args, n, k, stream):
     k_tilde = args.ktilde if args.ktilde is not None else k + 5
-    return SketchConfig(k=k, k_tilde=k_tilde, a_n=_resolve_a_n(args, n),
-                        g=args.g, stream=stream)
+    try:
+        a_n = resolve_a_n("ceil_log" if args.an == "log" else args.an, n)
+    except ValueError as exc:
+        raise UsageError(f"--an: {exc}") from exc
+    return SketchConfig(k=k, k_tilde=k_tilde, a_n=a_n, g=args.g, stream=stream)
 
 
 def _write_meta(out_dir, payload):
@@ -121,7 +111,8 @@ def _add_sketch_flags(parser, default_g=2):
     parser.add_argument("--ktilde", type=int, default=None,
                         help="sketch width (default: k + 5)")
     parser.add_argument("--an", default="log",
-                        help="number of repeated sketches, or 'log' for ceil(log n)")
+                        help="number of repeated sketches, 'log' for ceil(log n), "
+                             "or 'ceil_log_sq' for ceil(log(n)^2)")
     parser.add_argument("--g", type=int, default=default_g,
                         help="power-iteration count")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -129,18 +120,15 @@ def _add_sketch_flags(parser, default_g=2):
     parser.add_argument("--out", required=True, help="output directory")
 
 
-def _is_symmetric(a):
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - a.T)) <= 1e-10 * max(
-        1.0, float(np.max(np.abs(a))))
-
-
 def cmd_svd(args):
     a = read_matrix_market(args.input)
     seed = _resolve_seed(args)
     stream = RngStream(seed, 0).child("svd")
-    symmetric = _is_symmetric(a) if args.mode == "auto" else args.mode == "sym"
-    if args.mode == "sym" and not _is_symmetric(a):
-        raise UsageError("--sym requires a symmetric input matrix")
+    if args.mode == "auto":
+        symmetric = a.shape[0] == a.shape[1] and symmetry_defect(a) <= 1e-10 * max(
+            1.0, float(np.max(np.abs(a))))
+    else:
+        symmetric = args.mode == "sym"
     cfg = _sketch_config(args, a.shape[1], args.k, stream)
     out = rs_rsvd_sym(a, cfg) if symmetric else rs_rsvd_asym(a, cfg)
     out_dir = Path(args.out)
@@ -268,14 +256,20 @@ def cmd_complete(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out_dir / "completed.mm", result.t_hat_g)
-    ci_rows = []
+    specs = []
     for ci_spec in args.ci or []:
         parts = ci_spec.split(",")
         if len(parts) != 3:
             raise UsageError(f"--ci expects 'i,j,alpha', got {ci_spec!r}")
-        i, j, alpha = int(parts[0]), int(parts[1]), float(parts[2])
-        ci = entry_ci_batch(result, t_hat, [(i, j)], alpha)[0]
-        ci_rows.append((ci.i, ci.j, ci.alpha, ci.estimate, ci.v_hat, ci.lo, ci.hi))
+        specs.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    # one batch per distinct alpha builds the n x n CI matrices once each;
+    # rows keep the order the flags were given in
+    ci_rows = [None] * len(specs)
+    for alpha in dict.fromkeys(spec[2] for spec in specs):
+        slots = [idx for idx, spec in enumerate(specs) if spec[2] == alpha]
+        cis = entry_ci_batch(result, t_hat, [specs[idx][:2] for idx in slots], alpha)
+        for idx, ci in zip(slots, cis):
+            ci_rows[idx] = (ci.i, ci.j, ci.alpha, ci.estimate, ci.v_hat, ci.lo, ci.hi)
     write_csv(out_dir / "ci.csv",
               ("i", "j", "alpha", "estimate", "v_hat", "lo", "hi"), ci_rows)
     extra = {"k": args.k, "p_used": result.p_used, "mode": result.mode,

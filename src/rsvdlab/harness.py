@@ -35,7 +35,7 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream, stable_hash64
-from .sketch import SketchConfig, rs_rsvd_sym_chain
+from .sketch import SketchConfig, resolve_a_n, rs_rsvd_sym_chain
 from .stats import chi2_quantile
 from .subspace import procrustes_align
 from .theory import clt_gamma_sbm_all
@@ -111,20 +111,11 @@ def load_plan(source) -> ExperimentPlan:
     )
 
 
-def _resolve_a_n(params, n):
-    rule = params.get("a_n", "ceil_log")
-    if rule == "ceil_log":
-        return max(1, math.ceil(math.log(n)))
-    if rule == "ceil_log_sq":
-        return max(1, math.ceil(math.log(n) ** 2))
-    return int(rule)
-
-
 def _sketch_config(params, n, g, stream, k):
     return SketchConfig(
         k=k,
         k_tilde=int(params.get("k_tilde", 12)),
-        a_n=_resolve_a_n(params, n),
+        a_n=resolve_a_n(params.get("a_n", "ceil_log"), n),
         g=g,
         stream=stream.child("sketch"),
     )
@@ -259,9 +250,9 @@ def _run_ci_coverage(params, n, g_list, stream):
 
 
 def _run_pca_sweep(params, n, g_list, stream):
-    m = int(params.get("m", 500))
+    m = int(params.get("m", 6000))
     k = int(params.get("k", 4))
-    p = float(params.get("p", 0.02))
+    p = float(params.get("p", 0.05))
     sigma = float(params.get("sigma", 1.0))
     inst = gen_missing_pca(n, m, k, p, sigma, stream.child("model"))
     q = missing_pca_gram(inst.x_obs, p)

@@ -10,8 +10,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import RngStream, standard_normal
-
 #: Maximum size accepted by the dense symmetric eigensolver.
 SYM_EIG_MAX_N = 4096
 
@@ -51,6 +49,11 @@ def as_matrix(a, name="matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def symmetry_defect(a) -> float:
+    """Largest entry of |A - A^T|; callers compare it to their own tolerance."""
+    return float(np.max(np.abs(a - a.T)))
 
 
 def orthonormality_defect(q) -> float:
@@ -148,7 +151,7 @@ def sym_eig(s, tol=1e-10) -> SpectrumPair:
         raise ValueError(f"expected a square matrix, got {n}x{m}")
     if n > SYM_EIG_MAX_N:
         raise ValueError(f"dense eigensolver limited to {SYM_EIG_MAX_N} rows, got {n}")
-    asym = float(np.max(np.abs(s - s.T)))
+    asym = symmetry_defect(s)
     if asym > tol:
         raise ValueError(f"input is not symmetric: max |S - S^T| = {asym:.3e}")
     vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
@@ -158,43 +161,11 @@ def sym_eig(s, tol=1e-10) -> SpectrumPair:
     return SpectrumPair(values=vals, vectors=vecs)
 
 
-_POWER_ITER_STREAM = RngStream(0x5EED0F0D, 7)
-
-
-def spectral_norm(a, rel_tol=1e-10, max_iter=100_000) -> float:
-    """Largest singular value via power iteration on the smaller Gram matrix.
-
-    Deterministic: the starting vector comes from a fixed internal stream.
-    """
-    a = as_matrix(a, "input")
-    gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    n = gram.shape[0]
-    v = standard_normal(_POWER_ITER_STREAM.generator(), (n,))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(n)
-        nv = np.sqrt(n)
-    v /= nv
-    prev = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        est = float(v @ (gram @ v))
-        if abs(est - prev) <= rel_tol * max(est, 1e-300):
-            prev = est
-            break
-        prev = est
-    return float(np.sqrt(max(prev, 0.0)))
-
-
 def norms(a) -> MatrixNorms:
     """Spectral, Frobenius, max-row-l2 (two-to-inf) and max-entry norms."""
     a = as_matrix(a, "input")
     return MatrixNorms(
-        spectral=spectral_norm(a),
+        spectral=float(np.linalg.norm(a, 2)),
         frobenius=float(np.linalg.norm(a)),
         two_to_inf=float(np.sqrt(np.max(np.sum(a * a, axis=1)))),
         max=float(np.max(np.abs(a))),

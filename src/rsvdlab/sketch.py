@@ -2,14 +2,17 @@
 
 The symmetric driver sketches M_hat^g G for a_n independent Gaussian
 blocks G_a and keeps the block whose k-th sketched singular value is
-largest; the asymmetric driver does the same with (M M^T)^g M G.  All
-a_n blocks are carved out of one combined Gaussian draw so the data
-matrix is traversed only g (resp. 2g+1) times, and every multiply is
-followed by a thin QR so the iterated powers never overflow: the sketch
-singular values are recovered from the accumulated product of R factors.
+largest; the rectangular driver does the same with (M M^T)^g M G.  Both
+run through one power chain: the a_n blocks sit side by side in one
+combined Gaussian draw, every step applies one matrix to all of them in a
+single multiply, so the data matrix is traversed only g (resp. 2g+1)
+times, and every multiply is followed by a thin QR per block so the
+iterated powers never overflow: the sketch singular values are recovered
+from the accumulated product of R factors.
 """
 
 from dataclasses import dataclass
+import math
 from typing import Optional
 
 import numpy as np
@@ -20,6 +23,7 @@ from .linalg import (
     orthonormality_defect,
     singular_values,
     svd_thin,
+    symmetry_defect,
     _fix_column_signs,
 )
 from .rng import RngStream, gaussian_matrix
@@ -54,14 +58,38 @@ class SketchConfig:
         if self.g < 1:
             raise ValueError("g must be >= 1")
 
-    def validate_for(self, n_cols: int):
-        if self.k_tilde > n_cols:
-            raise ValueError(f"k_tilde={self.k_tilde} exceeds matrix dimension {n_cols}")
+    def validate_for(self, shape):
+        """Check that a matrix of the given (rows, cols) shape can carry the
+        sketch: each block needs k_tilde rows and columns, and the combined
+        draw a_n*k_tilde columns."""
+        n_rows, n_cols = shape
+        if self.k_tilde > min(n_rows, n_cols):
+            raise ValueError(f"k_tilde={self.k_tilde} exceeds matrix dimension "
+                             f"{min(n_rows, n_cols)}")
         if self.a_n * self.k_tilde > n_cols:
             raise ValueError(
                 f"combined sketch width a_n*k_tilde={self.a_n * self.k_tilde} "
                 f"exceeds matrix dimension {n_cols}"
             )
+
+
+def resolve_a_n(rule, n: int) -> int:
+    """Number of repeated sketches for an n-dimensional input.
+
+    ``rule`` is a positive integer (or its decimal string), "ceil_log" for
+    ceil(log n), or "ceil_log_sq" for ceil(log(n)^2); the rules give at
+    least 1.
+    """
+    if rule == "ceil_log":
+        return max(1, math.ceil(math.log(n)))
+    if rule == "ceil_log_sq":
+        return max(1, math.ceil(math.log(n) ** 2))
+    if isinstance(rule, str) and rule.isdigit():
+        rule = int(rule)
+    if isinstance(rule, int) and not isinstance(rule, bool) and rule >= 1:
+        return rule
+    raise ValueError(f"a_n rule must be a positive integer, 'ceil_log' or "
+                     f"'ceil_log_sq', got {rule!r}")
 
 
 @dataclass
@@ -100,43 +128,10 @@ def _check_symmetric(m_hat, name="M_hat"):
     n = m_hat.shape[0]
     if m_hat.shape[1] != n:
         raise ValueError(f"{name} must be square, got {m_hat.shape}")
-    asym = float(np.max(np.abs(m_hat - m_hat.T)))
+    asym = symmetry_defect(m_hat)
     if asym > _SYM_TOL * max(1.0, float(np.max(np.abs(m_hat)))):
         raise ValueError(f"{name} is not symmetric: max asymmetry {asym:.3e}")
     return m_hat
-
-
-def _power_iters(m_hat, g_mat, g: int):
-    q, rprod = _qr_step(m_hat @ g_mat, iteration=1)
-    for it in range(2, g + 1):
-        q, r = _qr_step(m_hat @ q, iteration=it)
-        rprod = r @ rprod
-    return q, rprod
-
-
-def power_sketch(m_hat, g_mat, g: int):
-    """Re-orthonormalized power iterations: Q Rprod = M_hat^g G.
-
-    Returns (Q, Rprod) where Rprod is the ordered product of per-iteration
-    R factors, so the singular values of M_hat^g G equal those of Rprod.
-    """
-    m_hat = _check_symmetric(m_hat)
-    g_mat = as_matrix(g_mat, "G")
-    if g_mat.shape[0] != m_hat.shape[0]:
-        raise ValueError(f"G must have {m_hat.shape[0]} rows, got {g_mat.shape[0]}")
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    return _power_iters(m_hat, g_mat, g)
-
-
-def _power_iters_asym(m_hat, g_mat, g: int):
-    """(M M^T)^g M G via alternating multiplies, QR after each one."""
-    q, rprod = _qr_step(m_hat @ g_mat, iteration=1)
-    for j in range(1, g + 1):
-        q2, r2 = _qr_step(m_hat.T @ q, iteration=2 * j)
-        q, r3 = _qr_step(m_hat @ q2, iteration=2 * j + 1)
-        rprod = r3 @ (r2 @ rprod)
-    return q, rprod
 
 
 def combined_sketch(n: int, cfg: SketchConfig) -> np.ndarray:
@@ -184,33 +179,31 @@ def _extract_output(m_hat, q_all, rprods, k, k_tilde, low_rank_mode):
     )
 
 
-def _chain_outputs(m_hat, g_star, k, k_tilde, a_n, g_list, low_rank_mode):
-    """Run the block power chain once up to max(g_list), snapshotting the
-    selected output at every requested g.
+def _power_chain(g_star, ops, snapshots, k, k_tilde, low_rank_mode="none"):
+    """Push the sketch blocks through ``ops`` in order and snapshot the
+    selected output after every step named in ``snapshots`` ({step: g},
+    steps counted from 1).  Returns {g: RsvdOutput}.
 
-    All blocks advance through one combined multiply per iteration (a
-    single pass over the data matrix); each block is then re-orthonormalized
-    independently, so the per-block states match running the blocks in
-    isolation.
+    ``g_star`` holds the blocks side by side, k_tilde columns each.  Every
+    step is one combined multiply (a single pass over the data matrix);
+    each block is then re-orthonormalized independently, so the per-block
+    states match running the blocks in isolation.  ``ops[0]`` is M_hat
+    itself, which the extracted singular values are read from.
     """
-    wanted = sorted(set(int(g) for g in g_list))
-    if wanted[0] < 1:
-        raise ValueError("all g must be >= 1")
-    g_max = wanted[-1]
+    a_n = g_star.shape[1] // k_tilde
     rprods = [None] * a_n
     current = g_star
     outputs = {}
-    for it in range(1, g_max + 1):
-        y = m_hat @ current
-        current = np.empty_like(g_star)
+    for step, op in enumerate(ops, start=1):
+        current = op @ current
         for a in range(a_n):
             sl = slice(a * k_tilde, (a + 1) * k_tilde)
-            q_a, r_a = _qr_step(y[:, sl], iteration=it)
-            rprods[a] = r_a if it == 1 else r_a @ rprods[a]
+            q_a, r_a = _qr_step(current[:, sl], iteration=step)
             current[:, sl] = q_a
-        if it in wanted:
-            outputs[it] = _extract_output(m_hat, current, rprods, k, k_tilde,
-                                          low_rank_mode)
+            rprods[a] = r_a if step == 1 else r_a @ rprods[a]
+        if step in snapshots:
+            outputs[snapshots[step]] = _extract_output(
+                ops[0], current, rprods, k, k_tilde, low_rank_mode)
     return outputs
 
 
@@ -225,11 +218,13 @@ def rs_rsvd_sym_chain(m_hat, cfg: SketchConfig, g_list,
     if low_rank_mode not in LOW_RANK_MODES:
         raise ValueError(f"low_rank_mode must be one of {LOW_RANK_MODES}")
     m_hat = _check_symmetric(m_hat)
-    n = m_hat.shape[0]
-    cfg.validate_for(n)
-    g_star = combined_sketch(n, cfg)
-    return _chain_outputs(m_hat, g_star, cfg.k, cfg.k_tilde, cfg.a_n,
-                          g_list, low_rank_mode)
+    cfg.validate_for(m_hat.shape)
+    wanted = sorted(set(int(g) for g in g_list))
+    if wanted[0] < 1:
+        raise ValueError("all g must be >= 1")
+    g_star = combined_sketch(m_hat.shape[0], cfg)
+    return _power_chain(g_star, [m_hat] * wanted[-1], {g: g for g in wanted},
+                        cfg.k, cfg.k_tilde, low_rank_mode)
 
 
 def rs_rsvd_sym(m_hat, cfg: SketchConfig, low_rank_mode: str = "none") -> RsvdOutput:
@@ -248,19 +243,12 @@ def rs_rsvd_sym(m_hat, cfg: SketchConfig, low_rank_mode: str = "none") -> RsvdOu
 def rs_rsvd_asym(m_hat, cfg: SketchConfig) -> RsvdOutput:
     """Repeated-sampling randomized SVD for a rectangular matrix.
 
-    Sketches (M M^T)^g M G_a, so the data is traversed 2g+1 times; the
+    Sketches (M M^T)^g M G_a through the same chain, alternating M^T and M
+    after the first multiply, so the data is traversed 2g+1 times; the
     output approximates the k leading left singular vectors.
     """
     m_hat = as_matrix(m_hat, "M_hat")
-    n1, n2 = m_hat.shape
-    cfg.validate_for(n2)
-    g_star = gaussian_matrix(n2, cfg.a_n * cfg.k_tilde, cfg.stream)
-    kt = cfg.k_tilde
-    q_all = np.empty((n1, cfg.a_n * kt))
-    rprods = []
-    for a in range(cfg.a_n):
-        q, rprod = _power_iters_asym(m_hat, g_star[:, a * kt:(a + 1) * kt], cfg.g)
-        q_all[:, a * kt:(a + 1) * kt] = q
-        rprods.append(rprod)
-    out = _extract_output(m_hat, q_all, rprods, cfg.k, kt, "none")
-    return out
+    cfg.validate_for(m_hat.shape)
+    g_star = combined_sketch(m_hat.shape[1], cfg)
+    ops = [m_hat] + [m_hat.T, m_hat] * cfg.g
+    return _power_chain(g_star, ops, {len(ops): cfg.g}, cfg.k, cfg.k_tilde)[cfg.g]

@@ -58,9 +58,3 @@ def sin_theta_norm(u1, u2) -> float:
     s = np.clip(s, 0.0, 1.0)
     return float(np.sqrt(max(0.0, 1.0 - float(np.min(s)) ** 2)))
 
-
-def principal_angles(u1, u2) -> np.ndarray:
-    """Principal angles in radians, ascending; cosines clamped to [0, 1]."""
-    u1, u2 = _check_pair(u1, u2)
-    s = np.linalg.svd(u1.T @ u2, compute_uv=False)
-    return np.arccos(np.clip(np.sort(s)[::-1], 0.0, 1.0))

@@ -105,8 +105,9 @@ def rate_exponent(model: RateModel) -> RateVerdict:
     return RateVerdict(regime=regime, exponent=exponent)
 
 
-def clt_gamma_sbm(p_mat, u, lam, beta, i: int) -> np.ndarray:
-    """Asymptotic covariance of row i of the aligned eigenvector estimate.
+def clt_gamma_sbm_all(p_mat, u, lam, beta) -> np.ndarray:
+    """Asymptotic covariances of all n rows of the aligned eigenvector
+    estimate, stacked as an (n, k, k) array.
 
     Gamma_i = n^(1+beta) * L^-1 (sum_j m_ij (1 - m_ij) u_j u_j^T) L^-1
     with L = diag(lam).  Pairs with the n^((1+beta)/2) row scaling used in
@@ -118,23 +119,6 @@ def clt_gamma_sbm(p_mat, u, lam, beta, i: int) -> np.ndarray:
     n, k = u.shape
     if p_mat.shape != (n, n) or lam.shape != (k,):
         raise ValueError("shape mismatch between p_mat, u, and lam")
-    if np.any(lam == 0.0):
-        raise ValueError("eigenvalues must be nonzero")
-    if not 0 <= i < n:
-        raise ValueError("row index out of range")
-    w = p_mat[i, :] * (1.0 - p_mat[i, :])
-    inner = (u * w[:, None]).T @ u
-    inv_lam = 1.0 / lam
-    gamma = float(n) ** (1.0 + beta) * (inv_lam[:, None] * inner * inv_lam[None, :])
-    return (gamma + gamma.T) / 2.0
-
-
-def clt_gamma_sbm_all(p_mat, u, lam, beta) -> np.ndarray:
-    """All n row covariances at once, stacked as an (n, k, k) array."""
-    p_mat = as_matrix(p_mat, "p_mat")
-    u = require_orthonormal(u, name="u")
-    lam = np.asarray(lam, dtype=np.float64)
-    n = u.shape[0]
     if np.any(lam == 0.0):
         raise ValueError("eigenvalues must be nonzero")
     w = p_mat * (1.0 - p_mat)

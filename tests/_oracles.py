@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the library's own code paths: a cyclic Jacobi
-eigensolver, a naive multi-pass repeated sketch, and a dense grid search
-over 2x2 orthogonal alignments.
+eigensolver, a naive multi-pass repeated sketch, the blockmodel CLT
+covariance one row at a time, and a dense grid search over 2x2 orthogonal
+alignments.
 """
 
 import numpy as np
@@ -39,18 +40,42 @@ def jacobi_eigenvalues(s, max_sweeps=60, tol=1e-15):
     return np.sort(np.diag(a))[::-1]
 
 
-def naive_repeated_sketch(m_hat, g_star, k, k_tilde, a_n, g):
-    """Multi-pass reference for the repeated sketch: cube the matrix
+def naive_block_svds(m_hat, g_star, k_tilde, a_n, g, rectangular=False):
+    """Exact (U, s) of every block's powered sketch, formed by direct
+    multiplication: M^g G_a for symmetric input, (M M^T)^g M G_a for
+    rectangular input."""
+    if rectangular:
+        power = np.linalg.matrix_power(m_hat @ m_hat.T, g) @ m_hat
+    else:
+        power = np.linalg.matrix_power(m_hat, g)
+    return [
+        np.linalg.svd(power @ g_star[:, a * k_tilde:(a + 1) * k_tilde],
+                      full_matrices=False)[:2]
+        for a in range(a_n)
+    ]
+
+
+def naive_repeated_sketch(m_hat, g_star, k, k_tilde, a_n, g, rectangular=False):
+    """Multi-pass reference for the repeated sketch: power the matrix
     directly per block, take the exact SVD, pick argmax sigma_k."""
-    power = np.linalg.matrix_power(m_hat, g)
     best = None
-    for a in range(a_n):
-        y = power @ g_star[:, a * k_tilde:(a + 1) * k_tilde]
-        u, s, _ = np.linalg.svd(y, full_matrices=False)
+    for a, (u, s) in enumerate(naive_block_svds(m_hat, g_star, k_tilde, a_n, g,
+                                                rectangular)):
         sig_k = s[k - 1] if k <= s.size else 0.0
         if best is None or sig_k > best[0]:
             best = (sig_k, a, u[:, :k])
     return best
+
+
+def clt_gamma_row(p_mat, u, lam, beta, i):
+    """Row i of the blockmodel CLT covariance, written out for one row:
+    n^(1+beta) * L^-1 (sum_j m_ij (1 - m_ij) u_j u_j^T) L^-1, L = diag(lam)."""
+    n = u.shape[0]
+    w = p_mat[i, :] * (1.0 - p_mat[i, :])
+    inner = (u * w[:, None]).T @ u
+    inv_lam = 1.0 / lam
+    gamma = float(n) ** (1.0 + beta) * (inv_lam[:, None] * inner * inv_lam[None, :])
+    return (gamma + gamma.T) / 2.0
 
 
 def grid_min_spectral_residual(u1, u2, samples=5000):

@@ -39,6 +39,14 @@ class TestSvd:
                        "--sym", "--out", str(tmp_path / "out"))
         assert code == 2
 
+    def test_wide_input_below_k_tilde_rows_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        write_matrix_market(tmp_path / "m.mm", rng.standard_normal((6, 200)))
+        code = run_cli("svd", str(tmp_path / "m.mm"), "--k", "2", "--asym",
+                       "--ktilde", "8", "--an", "3", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "k_tilde" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path):
         write_matrix_market(tmp_path / "m.mm",
                             np.diag([3.0, 2.0, 1.0, 0.5]))
@@ -121,13 +129,17 @@ class TestComplete:
         code = run_cli("complete", "--gen",
                        "completion:n=100,k=2,p=0.7,sigma=0.5", "--k", "2",
                        "--ci", "3,7,0.05", "--ci", "10,40,0.1",
+                       "--ci", "5,9,0.05",
                        "--ktilde", "6", "--an", "3", "--g", "3",
                        "--out", str(out))
         assert code == 0
         lines = (out / "ci.csv").read_text().splitlines()
         assert lines[0] == "i,j,alpha,estimate,v_hat,lo,hi"
-        assert len(lines) == 3
-        i, j, alpha, est, v_hat, lo, hi = (float(x) for x in lines[1].split(","))
+        assert len(lines) == 4
+        rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+        # rows come out in flag order, although equal alphas share one batch
+        assert [row[:3] for row in rows] == [(3, 7, 0.05), (10, 40, 0.1), (5, 9, 0.05)]
+        i, j, alpha, est, v_hat, lo, hi = rows[0]
         assert lo < est < hi
 
     def test_edm_generator_with_exact_baseline(self, tmp_path):

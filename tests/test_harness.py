@@ -55,6 +55,18 @@ def test_run_plan_parallelism_invariant():
     assert records_equal(serial, threaded)
 
 
+def test_pca_sweep_defaults_are_the_c8_setting():
+    # a plan that omits m and p runs at (6000, 0.05), where the exact
+    # baseline is informative, not at a chance-level setting
+    params = {"k": 2, "sigma": 1.0, "k_tilde": 6, "a_n": 2}
+    plan = ExperimentPlan(kind="pca_sweep", model_params=params, n_grid=(80,),
+                          g_list=(1, 3), replicates=2, master_seed=761008)
+    explicit = replace(plan, model_params={**params, "m": 6000, "p": 0.05})
+    records = run_plan(plan)
+    assert all("error" not in rec.metrics for rec in records)
+    assert records_equal(records, run_plan(explicit))
+
+
 def test_run_plan_record_layout():
     plan = small_rate_plan(replicates=2)
     records = run_plan(plan)

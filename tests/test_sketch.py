@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rsvdlab.linalg import RankDeficiencyError, orthonormality_defect, qr_thin, svd_thin, sym_eig
 from rsvdlab.models import gen_sbm, gen_wigner
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
 from rsvdlab.sketch import (
     SketchConfig,
-    _chain_outputs,
+    _power_chain,
     combined_sketch,
-    power_sketch,
+    resolve_a_n,
     rs_rsvd_asym,
     rs_rsvd_sym,
     rs_rsvd_sym_chain,
 )
 from rsvdlab.subspace import d2, d2_inf
 
-from _oracles import naive_repeated_sketch
+from _oracles import naive_block_svds, naive_repeated_sketch
 
 
 def rank_k_symmetric(n, k, seed, lam=None):
@@ -26,15 +27,23 @@ def rank_k_symmetric(n, k, seed, lam=None):
     return (basis * lam) @ basis.T, basis, np.asarray(lam, dtype=np.float64)
 
 
+def chain_at(m_hat, g_mat, g, k):
+    """Output of the symmetric chain at power g on the caller's own draw."""
+    return _power_chain(g_mat, [m_hat] * g, {g: g}, k, g_mat.shape[1])[g]
+
+
 def test_power_sketch_identity():
     g_mat = gaussian_matrix(6, 3, RngStream(7, 0))
-    q, rprod = power_sketch(np.eye(6), g_mat, 3)
-    assert np.linalg.norm(q @ rprod - g_mat) <= 1e-10 * np.linalg.norm(g_mat)
+    u_ref, s_ref, _ = svd_thin(g_mat)
+    for k in (1, 2, 3):
+        out = chain_at(np.eye(6), g_mat, 3, k)
+        assert out.sigma_k_sketch == pytest.approx(s_ref[k - 1], rel=1e-10)
+        assert d2(out.u_hat_g, u_ref[:, :k]) <= 1e-10
 
 
 def test_power_sketch_diagonal_powers():
-    q, rprod = power_sketch(np.diag([2.0, 1.0]), np.eye(2), 4)
-    svals = np.linalg.svd(rprod, compute_uv=False)
+    svals = [chain_at(np.diag([2.0, 1.0]), np.eye(2), 4, k).sigma_k_sketch
+             for k in (1, 2)]
     assert np.allclose(svals, [16.0, 1.0], rtol=1e-12)
 
 
@@ -42,24 +51,25 @@ def test_power_sketch_matches_direct_cube():
     a = gaussian_matrix(30, 30, RngStream(7, 1))
     m_hat = (a + a.T) / 2.0
     g_mat = gaussian_matrix(30, 5, RngStream(7, 2))
-    q, rprod = power_sketch(m_hat, g_mat, 3)
     direct = m_hat @ m_hat @ m_hat @ g_mat
-    assert np.linalg.norm(q @ rprod - direct) <= 1e-8 * np.linalg.norm(direct)
-    _, s_ref, _ = svd_thin(direct)
-    svals = np.linalg.svd(rprod, compute_uv=False)
-    assert np.allclose(svals, s_ref, rtol=1e-7)
+    u_ref, s_ref, _ = svd_thin(direct)
+    for k in range(1, 6):
+        out = chain_at(m_hat, g_mat, 3, k)
+        assert out.sigma_k_sketch == pytest.approx(s_ref[k - 1], rel=1e-7)
+    assert d2(out.u_hat_g, u_ref) <= 1e-8
 
 
 def test_power_sketch_total_collapse_names_iteration():
     g_mat = gaussian_matrix(5, 2, RngStream(7, 3))
     with pytest.raises(RankDeficiencyError) as err:
-        power_sketch(np.zeros((5, 5)), g_mat, 2)
+        chain_at(np.zeros((5, 5)), g_mat, 2, 1)
     assert err.value.iteration == 1
 
 
 def test_power_sketch_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        power_sketch(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), 1)
+    cfg = SketchConfig(k=1, k_tilde=1, a_n=1, g=1, stream=RngStream(7, 4))
+    with pytest.raises(ValueError, match="not symmetric"):
+        rs_rsvd_sym(np.array([[0.0, 1.0], [0.0, 0.0]]), cfg)
 
 
 def test_rs_rsvd_exact_low_rank_diagonal():
@@ -110,10 +120,10 @@ def test_selection_invariance_under_block_permutation():
     m_hat = (a + a.T) / 2.0
     cfg = SketchConfig(k=2, k_tilde=4, a_n=3, g=2, stream=RngStream(35, 1))
     g_star = combined_sketch(50, cfg)
-    base = _chain_outputs(m_hat, g_star, 2, 4, 3, [2], "none")[2]
+    base = _power_chain(g_star, [m_hat] * 2, {2: 2}, 2, 4)[2]
     perm = [2, 0, 1]
     permuted = np.hstack([g_star[:, b * 4:(b + 1) * 4] for b in perm])
-    swapped = _chain_outputs(m_hat, permuted, 2, 4, 3, [2], "none")[2]
+    swapped = _power_chain(permuted, [m_hat] * 2, {2: 2}, 2, 4)[2]
     assert swapped.chosen_sketch == perm.index(base.chosen_sketch)
     p_base = base.u_hat_g @ base.u_hat_g.T
     p_swap = swapped.u_hat_g @ swapped.u_hat_g.T
@@ -125,7 +135,7 @@ def test_selection_tie_breaks_to_lowest_block():
     m_hat = (a + a.T) / 2.0
     block = gaussian_matrix(30, 4, RngStream(35, 9))
     duplicated = np.hstack([block, block])
-    out = _chain_outputs(m_hat, duplicated, 2, 4, 2, [2], "none")[2]
+    out = _power_chain(duplicated, [m_hat] * 2, {2: 2}, 2, 4)[2]
     assert out.chosen_sketch == 0
 
 
@@ -205,7 +215,26 @@ def test_config_validation():
         SketchConfig(k=3, k_tilde=2, a_n=1, g=1, stream=RngStream(1))
     cfg = SketchConfig(k=2, k_tilde=8, a_n=3, g=1, stream=RngStream(1))
     with pytest.raises(ValueError):
-        cfg.validate_for(10)  # a_n * k_tilde = 24 > 10
+        cfg.validate_for((10, 10))  # a_n * k_tilde = 24 > 10
+
+
+def test_resolve_a_n_rules():
+    assert resolve_a_n(4, 100) == 4
+    assert resolve_a_n("4", 100) == 4
+    assert resolve_a_n("ceil_log", 100) == 5
+    assert resolve_a_n("ceil_log_sq", 100) == 22
+    assert resolve_a_n("ceil_log", 1) == 1
+    for bad in (0, "0", "-2", 2.5, "2.5", "log", True, None):
+        with pytest.raises(ValueError, match="a_n rule"):
+            resolve_a_n(bad, 100)
+
+
+def test_asym_wide_input_fewer_rows_than_k_tilde():
+    # every block's QR needs k_tilde rows, not only k_tilde columns
+    m_hat = gaussian_matrix(6, 200, RngStream(41, 20))
+    cfg = SketchConfig(k=2, k_tilde=8, a_n=3, g=1, stream=RngStream(41, 21))
+    with pytest.raises(ValueError, match="k_tilde=8"):
+        rs_rsvd_asym(m_hat, cfg)
 
 
 def test_asym_diagonal_like():
@@ -247,3 +276,52 @@ def test_asym_noisy_error_decreases_with_g():
     out = rs_rsvd_asym(m_hat, cfg)
     assert d2(out.u_hat_g, u_exact) <= d2(base_u, u_exact)
     assert orthonormality_defect(out.u_hat_g) <= 1e-10
+
+
+def _assert_engine_matches_oracle(m_hat, cfg, rectangular):
+    """Same chosen block and subspace as the dense multi-pass oracle, on
+    draws where both are determined: no tie between the two largest block
+    sigma_k, and a winning block whose k-th singular value stands clear of
+    its neighbour (relative gap above 1e-6)."""
+    out = rs_rsvd_asym(m_hat, cfg) if rectangular else rs_rsvd_sym(m_hat, cfg)
+    g_star = combined_sketch(m_hat.shape[1], cfg)
+    k = cfg.k
+    svds = naive_block_svds(m_hat, g_star, cfg.k_tilde, cfg.a_n, cfg.g,
+                            rectangular=rectangular)
+    top = sorted((s[k - 1] for _, s in svds), reverse=True)
+    assume(len(top) == 1 or top[0] - top[1] > 1e-8 * top[0])
+    _, chosen, u_ref = naive_repeated_sketch(m_hat, g_star, k, cfg.k_tilde,
+                                             cfg.a_n, cfg.g, rectangular=rectangular)
+    s = svds[chosen][1]
+    assume(s[k - 1] - (s[k] if k < s.size else 0.0) > 1e-6 * s[0])
+    assert out.chosen_sketch == chosen
+    assert d2(out.u_hat_g, u_ref) <= 1e-7
+
+
+_shapes = dict(seed=st.integers(0, 2**31 - 1), a_n=st.integers(1, 5),
+               g=st.integers(1, 3), k_tilde=st.integers(1, 4),
+               k_frac=st.floats(0.0, 1.0), extra=st.integers(0, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_shapes)
+def test_property_sym_engine_matches_dense_oracle(seed, a_n, g, k_tilde, k_frac,
+                                                  extra):
+    n = a_n * k_tilde + extra
+    k = 1 + int(k_frac * (k_tilde - 1))
+    a = gaussian_matrix(n, n, RngStream(37, seed))
+    cfg = SketchConfig(k=k, k_tilde=k_tilde, a_n=a_n, g=g,
+                       stream=RngStream(38, seed))
+    _assert_engine_matches_oracle((a + a.T) / 2.0, cfg, rectangular=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 12), **_shapes)
+def test_property_asym_engine_matches_dense_oracle(seed, a_n, g, k_tilde, k_frac,
+                                                   extra, rows):
+    n_cols = a_n * k_tilde + extra
+    k = 1 + int(k_frac * (k_tilde - 1))
+    m_hat = gaussian_matrix(k_tilde + rows, n_cols, RngStream(39, seed))
+    cfg = SketchConfig(k=k, k_tilde=k_tilde, a_n=a_n, g=g,
+                       stream=RngStream(40, seed))
+    _assert_engine_matches_oracle(m_hat, cfg, rectangular=True)

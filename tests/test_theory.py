@@ -7,12 +7,13 @@ from rsvdlab.models import gen_sbm, symmetric_bernoulli, symmetric_gaussian
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
 from rsvdlab.theory import (
     RateModel,
-    clt_gamma_sbm,
     clt_gamma_sbm_all,
     power_diff_expansion,
     rate_exponent,
     vstar_oracle,
 )
+
+from _oracles import clt_gamma_row
 
 B0 = [[0.8, 0.3], [0.3, 0.8]]
 
@@ -93,15 +94,15 @@ class TestRateExponent:
 class TestCltGamma:
     def test_single_block_exchangeable(self):
         inst = gen_sbm(60, [[0.6]], [1.0], 1.0, 1, RngStream(51, 0))
-        gammas = [clt_gamma_sbm(inst.p_mat, inst.u, inst.lam, 1.0, i)
-                  for i in range(60)]
+        gammas = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, 1.0)
         for g in gammas[1:]:
             assert np.max(np.abs(g - gammas[0])) <= 1e-10 * max(1.0, np.max(np.abs(gammas[0])))
 
     def test_symmetric_psd(self):
         inst = gen_sbm(80, B0, [0.5, 0.5], 0.9, 2, RngStream(51, 1))
+        gammas = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, 1.0)
         for i in (0, 17, 79):
-            gamma = clt_gamma_sbm(inst.p_mat, inst.u, inst.lam, 1.0, i)
+            gamma = gammas[i]
             assert np.array_equal(gamma, gamma.T)
             assert np.min(np.linalg.eigvalsh(gamma)) >= -1e-12
 
@@ -109,7 +110,7 @@ class TestCltGamma:
         inst = gen_sbm(40, B0, [0.5, 0.5], 0.8, 2, RngStream(51, 2))
         gammas = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, 1.0)
         for i in (0, 13, 39):
-            single = clt_gamma_sbm(inst.p_mat, inst.u, inst.lam, 1.0, i)
+            single = clt_gamma_row(inst.p_mat, inst.u, inst.lam, 1.0, i)
             assert np.allclose(gammas[i], single, atol=1e-12)
 
     def test_monte_carlo_covariance(self):
@@ -117,7 +118,7 @@ class TestCltGamma:
         n, beta = 200, 1.0
         inst = gen_sbm(n, B0, [0.5, 0.5], 1.0, 2, RngStream(51, 3))
         i = 7
-        gamma = clt_gamma_sbm(inst.p_mat, inst.u, inst.lam, beta, i)
+        gamma = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, beta)[i]
         scale = float(n) ** ((1.0 + beta) / 2.0)
         rows = np.empty((5000, 2))
         inv_lam = 1.0 / inst.lam
@@ -132,7 +133,7 @@ class TestCltGamma:
     def test_zero_eigenvalue_rejected(self):
         u = qr_thin(gaussian_matrix(10, 2, RngStream(51, 4)))[0]
         with pytest.raises(ValueError):
-            clt_gamma_sbm(np.full((10, 10), 0.5), u, np.array([1.0, 0.0]), 1.0, 0)
+            clt_gamma_sbm_all(np.full((10, 10), 0.5), u, np.array([1.0, 0.0]), 1.0)
 
 
 class TestVstarOracle:
