@@ -39,7 +39,6 @@ from .applications import (
     ClusteringResult,
     CompletionResult,
     EntryCI,
-    entry_ci,
     entry_ci_batch,
     exact_complete,
     match_labels,
@@ -57,8 +56,6 @@ from .theory import (
 from .harness import (
     ExperimentPlan,
     ReplicateRecord,
-    ci_coverage,
-    clt_coverage,
     ellipse_coverage,
     emit_csv,
     load_plan,

@@ -1,8 +1,11 @@
 """Downstream inference built on the randomized sketch: spectral
 clustering for community detection, matrix completion with entrywise
-confidence intervals, and PCA from partially observed data."""
+confidence intervals, and PCA from partially observed data.  Each reads
+its target rank from SketchConfig.k and uses only the sketch's basis U;
+``_reconstruct`` is the one place the completion estimate is formed.
+"""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
@@ -10,7 +13,7 @@ import numpy as np
 
 from .clustering import cluster_rows
 from .linalg import as_matrix, sym_eig
-from .sketch import SketchConfig, RsvdOutput, rs_rsvd_sym
+from .sketch import SketchConfig, rs_rsvd_sym
 from .stats import normal_quantile_two_sided
 
 
@@ -28,7 +31,6 @@ class CompletionResult:
     u_hat_g: np.ndarray
     mode: str
     p_used: float
-    rsvd: Optional[RsvdOutput] = None
 
 
 @dataclass
@@ -42,22 +44,21 @@ class EntryCI:
     alpha: float
 
 
-def rsvd_spectral_cluster(a, d, n_clusters, cfg: SketchConfig,
+def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
                           clusterer="kmeans", truth=None) -> ClusteringResult:
     """Cluster graph nodes from the sketched leading eigenvectors.
 
-    Runs the symmetric sketch on the adjacency matrix with target rank d,
-    then groups the embedding rows with K-means or K-medians seeded from a
-    stream derived from cfg.stream.  When ``truth`` labels are supplied the
-    result carries the permutation-invariant recovery flag and error rate.
+    Runs the symmetric sketch on the adjacency matrix with the embedding
+    dimension cfg.k as target rank, then groups the embedding rows with
+    K-means or K-medians seeded from a stream derived from cfg.stream.
+    When ``truth`` labels are supplied the result carries the
+    permutation-invariant recovery flag and error rate.
     """
     a = as_matrix(a, "adjacency")
     vals = np.unique(a)
     if not np.all(np.isin(vals, (0.0, 1.0))):
         raise ValueError("adjacency must be binary")
-    if d > cfg.k_tilde:
-        raise ValueError("embedding dimension d must be <= k_tilde")
-    out = rs_rsvd_sym(a, replace(cfg, k=d))
+    out = rs_rsvd_sym(a, cfg)
     tau_hat = cluster_rows(out.u_hat_g, n_clusters,
                            cfg.stream.child("clustering"), method=clusterer)
     result = ClusteringResult(tau_hat=tau_hat, u_hat_g=out.u_hat_g)
@@ -113,7 +114,8 @@ def estimate_sampling_rate(t_hat, mask=None) -> float:
     return frac
 
 
-def _completion_inputs(t_hat, p, mode, mask):
+def _completion_inputs(t_hat, p, mask):
+    """The rescaled observation T_hat / p and the sampling rate used."""
     t_hat = as_matrix(t_hat, "observed matrix")
     if isinstance(p, str):
         if p != "auto":
@@ -123,44 +125,43 @@ def _completion_inputs(t_hat, p, mode, mask):
         p_used = float(p)
         if not 0.0 < p_used <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-    if mode not in ("one_sided", "symmetrized"):
-        raise ValueError("mode must be 'one_sided' or 'symmetrized'")
-    return t_hat, p_used
+    return t_hat / p_used, p_used
 
 
-def rsvd_complete(t_hat, p, k, cfg: SketchConfig, mode="one_sided",
+def _reconstruct(u, m_hat, mode):
+    """Low-rank estimate from the basis ``u``: U U^T M_hat for "one_sided",
+    its symmetric average for "symmetrized"."""
+    b = u @ (u.T @ m_hat)
+    if mode == "one_sided":
+        return b
+    if mode == "symmetrized":
+        return (b + b.T) / 2.0
+    raise ValueError(f"mode must be 'one_sided' or 'symmetrized', got {mode!r}")
+
+
+def rsvd_complete(t_hat, p, cfg: SketchConfig, mode="one_sided",
                   mask=None) -> CompletionResult:
     """Low-rank completion of a partially observed symmetric matrix.
 
-    Scales the observation by 1/p, sketches it, and projects onto the
-    estimated singular subspace: one_sided returns U U^T (T_hat / p),
-    symmetrized its symmetric average.  ``p`` may be the string "auto" to
-    estimate the sampling rate from the data (or the supplied mask).
+    Scales the observation by 1/p, sketches it at rank cfg.k, and projects
+    onto the estimated singular subspace: one_sided returns
+    U U^T (T_hat / p), symmetrized its symmetric average.  ``p`` may be the
+    string "auto" to estimate the sampling rate from the data (or the
+    supplied mask).
     """
-    t_hat, p_used = _completion_inputs(t_hat, p, mode, mask)
-    out = rs_rsvd_sym(t_hat / p_used, replace(cfg, k=k), low_rank_mode=mode)
-    return CompletionResult(
-        t_hat_g=out.low_rank, u_hat_g=out.u_hat_g, mode=mode,
-        p_used=p_used, rsvd=out,
-    )
+    m_hat, p_used = _completion_inputs(t_hat, p, mask)
+    u = rs_rsvd_sym(m_hat, cfg).u_hat_g
+    return CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
+                            mode=mode, p_used=p_used)
 
 
 def exact_complete(t_hat, p, k, mode="one_sided", mask=None) -> CompletionResult:
     """Completion baseline using the exact k leading (by magnitude)
     eigenvectors of the rescaled observation instead of the sketch."""
-    t_hat, p_used = _completion_inputs(t_hat, p, mode, mask)
-    m_hat = t_hat / p_used
+    m_hat, p_used = _completion_inputs(t_hat, p, mask)
     u = sym_eig(m_hat).vectors[:, :k]
-    b = u @ (u.T @ m_hat)
-    t_hat_g = b if mode == "one_sided" else (b + b.T) / 2.0
-    return CompletionResult(t_hat_g=t_hat_g, u_hat_g=u, mode=mode,
-                            p_used=p_used, rsvd=None)
-
-
-def _ci_context(result: CompletionResult, t_hat):
-    zeta = result.u_hat_g @ result.u_hat_g.T
-    e_hat = result.t_hat_g - t_hat / result.p_used
-    return zeta, e_hat
+    return CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
+                            mode=mode, p_used=p_used)
 
 
 def entry_ci_batch(result: CompletionResult, t_hat, indices, alpha) -> list:
@@ -174,7 +175,8 @@ def entry_ci_batch(result: CompletionResult, t_hat, indices, alpha) -> list:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     t_hat = as_matrix(t_hat, "observed matrix")
-    zeta, e_hat = _ci_context(result, t_hat)
+    zeta = result.u_hat_g @ result.u_hat_g.T
+    e_hat = result.t_hat_g - t_hat / result.p_used
     e2 = e_hat * e_hat
     z2 = zeta * zeta
     z = normal_quantile_two_sided(alpha)
@@ -192,13 +194,6 @@ def entry_ci_batch(result: CompletionResult, t_hat, indices, alpha) -> list:
     return out
 
 
-def entry_ci(result: CompletionResult, t_hat, p, i, j, alpha) -> EntryCI:
-    """Single-entry confidence interval; ``p`` must match the completion."""
-    if abs(float(p) - result.p_used) > 1e-12:
-        raise ValueError("p disagrees with the completion result")
-    return entry_ci_batch(result, t_hat, [(i, j)], alpha)[0]
-
-
 def missing_pca_gram(x_obs, p) -> np.ndarray:
     """Debiased second-moment surrogate: off-diagonal of p^-2 X X^T."""
     x_obs = as_matrix(x_obs, "observed data")
@@ -210,11 +205,11 @@ def missing_pca_gram(x_obs, p) -> np.ndarray:
     return q
 
 
-def rsvd_missing_pca(x_obs, p, k, cfg: SketchConfig) -> np.ndarray:
+def rsvd_missing_pca(x_obs, p, cfg: SketchConfig) -> np.ndarray:
     """Principal subspace from partially observed data.
 
     Forms the diagonal-deleted Gram surrogate and sketches it; returns the
-    estimated d x k basis.
+    estimated d x cfg.k basis.
     """
     q = missing_pca_gram(x_obs, p)
-    return rs_rsvd_sym(q, replace(cfg, k=k)).u_hat_g
+    return rs_rsvd_sym(q, cfg).u_hat_g

@@ -8,6 +8,7 @@ seeds), so reruns with the same flags are byte-identical.  Exit codes:
 """
 
 import argparse
+from dataclasses import replace
 from importlib import resources
 import json
 import os
@@ -26,7 +27,7 @@ from .applications import (
 )
 from .clustering import DegenerateClusteringError
 from .harness import emit_csv, load_plan, run_plan
-from .linalg import RankDeficiencyError, symmetry_defect
+from .linalg import RankDeficiencyError
 from .mmio import read_matrix_market, write_csv, write_matrix_market
 from .models import (
     gen_completion,
@@ -36,7 +37,8 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream
-from .sketch import SketchConfig, resolve_a_n, rs_rsvd_asym, rs_rsvd_sym
+from .sketch import (NotSymmetricError, SketchConfig, resolve_a_n,
+                     rs_rsvd_asym, rs_rsvd_sym)
 
 DEFAULT_SEED = 20240501
 
@@ -49,14 +51,15 @@ class UsageError(ValueError):
     pass
 
 
-def _resolve_seed(args):
+def _resolve_seed(default):
+    """The master seed: RSVDLAB_SEED when set, else ``default``."""
     env = os.environ.get("RSVDLAB_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"RSVDLAB_SEED must be an integer, got {env!r}") from exc
-    return args.seed
+    return default
 
 
 def _parse_gen(spec_str):
@@ -122,15 +125,19 @@ def _add_sketch_flags(parser, default_g=2):
 
 def cmd_svd(args):
     a = read_matrix_market(args.input)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     stream = RngStream(seed, 0).child("svd")
-    if args.mode == "auto":
-        symmetric = a.shape[0] == a.shape[1] and symmetry_defect(a) <= 1e-10 * max(
-            1.0, float(np.max(np.abs(a))))
-    else:
-        symmetric = args.mode == "sym"
     cfg = _sketch_config(args, a.shape[1], args.k, stream)
-    out = rs_rsvd_sym(a, cfg) if symmetric else rs_rsvd_asym(a, cfg)
+    symmetric = args.mode == "sym" or (
+        args.mode == "auto" and a.shape[0] == a.shape[1])
+    try:
+        out = rs_rsvd_sym(a, cfg) if symmetric else rs_rsvd_asym(a, cfg)
+    except NotSymmetricError:
+        if args.mode == "sym":
+            raise
+        # auto mode: the symmetric sketch checks symmetry before any draw
+        symmetric = False
+        out = rs_rsvd_asym(a, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out_dir / "U.mm", out.u_hat_g)
@@ -139,7 +146,7 @@ def cmd_svd(args):
     _write_meta(out_dir, _common_meta(args, seed, stream, {
         "input": str(args.input),
         "k": args.k,
-        "symmetric": bool(symmetric),
+        "symmetric": symmetric,
         "chosen_sketch": int(out.chosen_sketch),
         "sigma_k_sketch": float(out.sigma_k_sketch),
     }))
@@ -172,7 +179,7 @@ def _load_adjacency(args, stream):
 
 
 def cmd_cluster(args):
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,7 +194,7 @@ def cmd_cluster(args):
         a, truth, src_meta = _load_adjacency(args, stream.child("model"))
         meta_src = src_meta
         cfg = _sketch_config(args, a.shape[0], args.d, stream.child("sketch"))
-        result = rsvd_spectral_cluster(a, args.d, args.K, cfg,
+        result = rsvd_spectral_cluster(a, args.K, cfg,
                                        clusterer=args.clusterer, truth=truth)
         if rep == 0:
             first_labels = result.tau_hat
@@ -234,7 +241,7 @@ def _load_observed(args, stream):
 
 
 def cmd_complete(args):
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("complete")
     t_hat, truth, gen_p, src_meta = _load_observed(args, base.child("model"))
     if args.p == "auto":
@@ -252,7 +259,7 @@ def cmd_complete(args):
     if args.exact:
         result = exact_complete(t_hat, p, args.k, mode=args.mode)
     else:
-        result = rsvd_complete(t_hat, p, args.k, cfg, mode=args.mode)
+        result = rsvd_complete(t_hat, p, cfg, mode=args.mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out_dir / "completed.mm", result.t_hat_g)
@@ -284,7 +291,7 @@ def cmd_complete(args):
 
 
 def cmd_pca(args):
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("pca")
     if args.gen is not None:
         kind, params = _parse_gen(args.gen)
@@ -307,7 +314,7 @@ def cmd_pca(args):
         p = args.p
         src_meta = {"input": str(args.input)}
     cfg = _sketch_config(args, x_obs.shape[0], args.k, base.child("sketch"))
-    u = rsvd_missing_pca(x_obs, p, args.k, cfg)
+    u = rsvd_missing_pca(x_obs, p, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out_dir / "U.mm", u)
@@ -338,13 +345,9 @@ def cmd_experiment(args):
         raise UsageError(f"invalid plan JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise UsageError(f"plan is missing required fields: {exc}") from exc
-    if args.parallel is not None:
-        from dataclasses import replace
-        plan = replace(plan, parallelism=args.parallel)
-    env_seed = os.environ.get("RSVDLAB_SEED")
-    if env_seed is not None:
-        from dataclasses import replace
-        plan = replace(plan, master_seed=int(env_seed))
+    parallelism = plan.parallelism if args.parallel is None else args.parallel
+    plan = replace(plan, parallelism=parallelism,
+                   master_seed=_resolve_seed(plan.master_seed))
     records = run_plan(plan)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ are emitted one per (n, g, replicate), sorted, into a fixed CSV schema.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import json
 import math
 from pathlib import Path
@@ -19,6 +19,7 @@ import numpy as np
 
 from .applications import (
     CompletionResult,
+    _reconstruct,
     entry_ci_batch,
     exact_complete,
     match_labels,
@@ -234,10 +235,8 @@ def _run_ci_coverage(params, n, g_list, stream):
     outputs = _chain(m_hat, params, n, g_list, stream, k=k)
     metrics = {}
     for g, out in outputs.items():
-        proj = out.u_hat_g @ (out.u_hat_g.T @ m_hat)
-        t_hat_g = proj if mode == "one_sided" else (proj + proj.T) / 2.0
-        res = CompletionResult(t_hat_g=t_hat_g, u_hat_g=out.u_hat_g,
-                               mode=mode, p_used=inst.p, rsvd=out)
+        res = CompletionResult(t_hat_g=_reconstruct(out.u_hat_g, m_hat, mode),
+                               u_hat_g=out.u_hat_g, mode=mode, p_used=inst.p)
         cis = entry_ci_batch(res, inst.t_hat, pairs, alpha)
         # containment up to roundoff, so exact-fit zero-width intervals count
         covered = [
@@ -286,7 +285,7 @@ def _run_edm_completion(params, n, g_list, stream):
     outputs = _chain(m_hat, params, n, g_list, stream, k=k)
     metrics = {}
     for g, out in outputs.items():
-        t_hat_g = out.u_hat_g @ (out.u_hat_g.T @ m_hat)
+        t_hat_g = _reconstruct(out.u_hat_g, m_hat, "one_sided")
         metrics[g] = {
             "med_rel_err": float(np.median(_relative_entry_errors(t_hat_g, d_mat))),
             "med_rel_err_exact": exact_err,
@@ -406,33 +405,3 @@ def rate_slopes(records, metric, log_adjust=None) -> dict:
             continue
         slopes.setdefault(g, []).append(fit.beta_hat)
     return slopes
-
-
-def clt_coverage(plan: ExperimentPlan, alpha=None) -> float:
-    """Mean in-ellipse fraction over the plan's replicates."""
-    if plan.kind != "clt_coverage":
-        raise ValueError("plan kind must be 'clt_coverage'")
-    if alpha is not None:
-        plan = replace(plan, model_params={**plan.model_params, "alpha": alpha})
-    records = run_plan(plan)
-    values = [r.metrics["clt_cover"] for r in records if "clt_cover" in r.metrics]
-    if not values:
-        raise RuntimeError("no successful coverage replicates")
-    return float(np.mean(values))
-
-
-def ci_coverage(plan: ExperimentPlan, alpha=None, entry_sample=None) -> float:
-    """Mean entrywise CI coverage over the plan's replicates."""
-    if plan.kind != "ci_coverage":
-        raise ValueError("plan kind must be 'ci_coverage'")
-    params = dict(plan.model_params)
-    if alpha is not None:
-        params["alpha"] = alpha
-    if entry_sample is not None:
-        params["entry_sample"] = entry_sample
-    plan = replace(plan, model_params=params)
-    records = run_plan(plan)
-    values = [r.metrics["ci_cover"] for r in records if "ci_cover" in r.metrics]
-    if not values:
-        raise RuntimeError("no successful coverage replicates")
-    return float(np.mean(values))

@@ -12,6 +12,8 @@ import numpy as np
 
 #: Maximum size accepted by the dense symmetric eigensolver.
 SYM_EIG_MAX_N = 4096
+SYM_EIG_TOL = 1e-10       # largest |S - S^T| entry sym_eig accepts
+ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
 
 
 class RankDeficiencyError(ValueError):
@@ -62,13 +64,14 @@ def orthonormality_defect(q) -> float:
     return float(np.max(np.abs(q.T @ q - np.eye(k))))
 
 
-def require_orthonormal(q, tol=1e-10, name="basis") -> np.ndarray:
+def require_orthonormal(q, name="basis") -> np.ndarray:
     q = as_matrix(q, name)
     if q.shape[0] < q.shape[1]:
         raise ValueError(f"{name} must be tall (rows >= cols), got {q.shape}")
     defect = orthonormality_defect(q)
-    if defect > tol:
-        raise ValueError(f"{name} is not orthonormal: defect {defect:.3e} > {tol:.1e}")
+    if defect > ORTHONORMAL_TOL:
+        raise ValueError(f"{name} is not orthonormal: defect {defect:.3e} "
+                         f"> {ORTHONORMAL_TOL:.1e}")
     return q
 
 
@@ -138,11 +141,11 @@ def singular_values(y) -> np.ndarray:
     return np.linalg.svd(y, compute_uv=False)
 
 
-def sym_eig(s, tol=1e-10) -> SpectrumPair:
+def sym_eig(s) -> SpectrumPair:
     """Eigendecomposition of a symmetric matrix, sorted by descending |value|.
 
     Magnitude ties are broken by placing the positive eigenvalue first.
-    Inputs larger than SYM_EIG_MAX_N or asymmetric beyond ``tol`` are
+    Inputs larger than SYM_EIG_MAX_N or asymmetric beyond SYM_EIG_TOL are
     rejected.
     """
     s = as_matrix(s, "symmetric input")
@@ -152,7 +155,7 @@ def sym_eig(s, tol=1e-10) -> SpectrumPair:
     if n > SYM_EIG_MAX_N:
         raise ValueError(f"dense eigensolver limited to {SYM_EIG_MAX_N} rows, got {n}")
     asym = symmetry_defect(s)
-    if asym > tol:
+    if asym > SYM_EIG_TOL:
         raise ValueError(f"input is not symmetric: max |S - S^T| = {asym:.3e}")
     vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
     order = np.lexsort((-vals, -np.abs(vals)))

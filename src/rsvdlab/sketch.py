@@ -8,12 +8,13 @@ combined Gaussian draw, every step applies one matrix to all of them in a
 single multiply, so the data matrix is traversed only g (resp. 2g+1)
 times, and every multiply is followed by a thin QR per block so the
 iterated powers never overflow: the sketch singular values are recovered
-from the accumulated product of R factors.
+from the accumulated product of R factors.  The drivers return the basis
+U, the singular values read off U^T M_hat, the chosen block and its
+sketched sigma_k; reconstructions built on U belong to the applications.
 """
 
 from dataclasses import dataclass
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .linalg import (
     _fix_column_signs,
 )
 from .rng import RngStream, gaussian_matrix
-
-LOW_RANK_MODES = ("none", "one_sided", "symmetrized")
 
 _SYM_TOL = 1e-10
 _COLLAPSE_RCOND = 1e-13
@@ -98,7 +97,10 @@ class RsvdOutput:
     sigma_tilde: np.ndarray     # k approximate singular values, descending
     sigma_k_sketch: float       # winning sigma_k of the sketched matrix
     chosen_sketch: int          # index of the winning block in [0, a_n)
-    low_rank: Optional[np.ndarray] = None
+
+
+class NotSymmetricError(ValueError):
+    """Raised when the symmetric driver is handed an asymmetric matrix."""
 
 
 def _qr_step(y, iteration):
@@ -130,7 +132,7 @@ def _check_symmetric(m_hat, name="M_hat"):
         raise ValueError(f"{name} must be square, got {m_hat.shape}")
     asym = symmetry_defect(m_hat)
     if asym > _SYM_TOL * max(1.0, float(np.max(np.abs(m_hat)))):
-        raise ValueError(f"{name} is not symmetric: max asymmetry {asym:.3e}")
+        raise NotSymmetricError(f"{name} is not symmetric: max asymmetry {asym:.3e}")
     return m_hat
 
 
@@ -151,7 +153,7 @@ def _select_winner(rprods, k):
     return best[1], best[0], best[2]
 
 
-def _extract_output(m_hat, q_all, rprods, k, k_tilde, low_rank_mode):
+def _extract_output(m_hat, q_all, rprods, k, k_tilde):
     chosen, sig_k, rprod = _select_winner(rprods, k)
     p, s_all, _ = svd_thin(rprod)
     if s_all[0] <= 0.0 or s_all[k - 1] <= s_all[0] * max(rprod.shape) * np.finfo(np.float64).eps:
@@ -162,24 +164,16 @@ def _extract_output(m_hat, q_all, rprods, k, k_tilde, low_rank_mode):
     u = _fix_column_signs(q @ p[:, :k])
     if orthonormality_defect(u) > 1e-10:
         raise RankDeficiencyError("extracted singular vectors lost orthonormality")
-    proj = u.T @ m_hat
-    sigma_tilde = singular_values(proj)
-    low_rank = None
-    if low_rank_mode == "one_sided":
-        low_rank = u @ proj
-    elif low_rank_mode == "symmetrized":
-        b = u @ proj
-        low_rank = (b + b.T) / 2.0
+    sigma_tilde = singular_values(u.T @ m_hat)
     return RsvdOutput(
         u_hat_g=u,
         sigma_tilde=sigma_tilde,
         sigma_k_sketch=sig_k,
         chosen_sketch=chosen,
-        low_rank=low_rank,
     )
 
 
-def _power_chain(g_star, ops, snapshots, k, k_tilde, low_rank_mode="none"):
+def _power_chain(g_star, ops, snapshots, k, k_tilde):
     """Push the sketch blocks through ``ops`` in order and snapshot the
     selected output after every step named in ``snapshots`` ({step: g},
     steps counted from 1).  Returns {g: RsvdOutput}.
@@ -203,20 +197,17 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde, low_rank_mode="none"):
             rprods[a] = r_a if step == 1 else r_a @ rprods[a]
         if step in snapshots:
             outputs[snapshots[step]] = _extract_output(
-                ops[0], current, rprods, k, k_tilde, low_rank_mode)
+                ops[0], current, rprods, k, k_tilde)
     return outputs
 
 
-def rs_rsvd_sym_chain(m_hat, cfg: SketchConfig, g_list,
-                      low_rank_mode: str = "none") -> dict:
+def rs_rsvd_sym_chain(m_hat, cfg: SketchConfig, g_list) -> dict:
     """Outputs for several power counts from one sketch draw and one chain.
 
     Equivalent to calling rs_rsvd_sym once per g with the same config (the
     iterates at step g do not depend on later steps), but each power of the
     data matrix is applied only once.  Returns {g: RsvdOutput}.
     """
-    if low_rank_mode not in LOW_RANK_MODES:
-        raise ValueError(f"low_rank_mode must be one of {LOW_RANK_MODES}")
     m_hat = _check_symmetric(m_hat)
     cfg.validate_for(m_hat.shape)
     wanted = sorted(set(int(g) for g in g_list))
@@ -224,20 +215,19 @@ def rs_rsvd_sym_chain(m_hat, cfg: SketchConfig, g_list,
         raise ValueError("all g must be >= 1")
     g_star = combined_sketch(m_hat.shape[0], cfg)
     return _power_chain(g_star, [m_hat] * wanted[-1], {g: g for g in wanted},
-                        cfg.k, cfg.k_tilde, low_rank_mode)
+                        cfg.k, cfg.k_tilde)
 
 
-def rs_rsvd_sym(m_hat, cfg: SketchConfig, low_rank_mode: str = "none") -> RsvdOutput:
+def rs_rsvd_sym(m_hat, cfg: SketchConfig) -> RsvdOutput:
     """Repeated-sampling randomized SVD of a symmetric matrix.
 
     Runs g re-orthonormalized power iterations on each of the a_n sketch
     blocks (carved out of one combined Gaussian draw), keeps the block
     maximizing sigma_k of the sketched matrix, and reads the approximate
-    singular values off U^T M_hat.  ``low_rank_mode`` selects the optional
-    approximation: "one_sided" gives U U^T M_hat, "symmetrized" its
-    symmetric average.
+    singular values off U^T M_hat.  An asymmetric input raises
+    NotSymmetricError before any random numbers are drawn.
     """
-    return rs_rsvd_sym_chain(m_hat, cfg, [cfg.g], low_rank_mode)[cfg.g]
+    return rs_rsvd_sym_chain(m_hat, cfg, [cfg.g])[cfg.g]
 
 
 def rs_rsvd_asym(m_hat, cfg: SketchConfig) -> RsvdOutput:

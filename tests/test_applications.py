@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rsvdlab.applications import (
-    entry_ci,
     entry_ci_batch,
     estimate_sampling_rate,
     exact_complete,
@@ -28,7 +27,7 @@ class TestClustering:
     def test_two_disjoint_cliques(self):
         inst = gen_sbm(100, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
                        RngStream(70, 0))
-        res = rsvd_spectral_cluster(inst.a, 2, 2, cfg_for(RngStream(70, 1)),
+        res = rsvd_spectral_cluster(inst.a, 2, cfg_for(RngStream(70, 1)),
                                     truth=inst.tau)
         assert res.exact_recovery
         assert res.error_rate == 0.0
@@ -37,20 +36,20 @@ class TestClustering:
         inst = gen_sbm(100, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
                        RngStream(70, 2))
         flipped = 1 - inst.tau
-        res = rsvd_spectral_cluster(inst.a, 2, 2, cfg_for(RngStream(70, 3)),
+        res = rsvd_spectral_cluster(inst.a, 2, cfg_for(RngStream(70, 3)),
                                     truth=flipped)
         assert res.exact_recovery
 
     def test_kmedians_variant(self):
         inst = gen_sbm(80, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
                        RngStream(70, 4))
-        res = rsvd_spectral_cluster(inst.a, 2, 2, cfg_for(RngStream(70, 5)),
+        res = rsvd_spectral_cluster(inst.a, 2, cfg_for(RngStream(70, 5)),
                                     clusterer="kmedians", truth=inst.tau)
         assert res.exact_recovery
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            rsvd_spectral_cluster(np.full((4, 4), 0.5), 2, 2,
+            rsvd_spectral_cluster(np.full((4, 4), 0.5), 2,
                                   cfg_for(RngStream(70, 6)))
 
 
@@ -84,7 +83,7 @@ class TestMatchLabels:
 class TestCompletion:
     def test_noiseless_complete_observation(self):
         inst = gen_completion(50, 3, 1.0, 1.0, 0.0, True, RngStream(71, 0))
-        res = rsvd_complete(inst.t_hat, 1.0, 3, cfg_for(RngStream(71, 1), k=3))
+        res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(71, 1), k=3))
         err = np.max(np.abs(res.t_hat_g - inst.t))
         assert err <= 1e-8 * np.max(np.abs(inst.t))
 
@@ -107,22 +106,22 @@ class TestCompletion:
 
     def test_symmetrized_mode_is_symmetric_low_rank(self):
         inst = gen_completion(60, 2, 1.0, 0.7, 0.3, True, RngStream(71, 4))
-        res = rsvd_complete(inst.t_hat, inst.p, 2, cfg_for(RngStream(71, 5)),
+        res = rsvd_complete(inst.t_hat, inst.p, cfg_for(RngStream(71, 5)),
                             mode="symmetrized")
         assert np.max(np.abs(res.t_hat_g - res.t_hat_g.T)) <= 1e-12
         svals = np.linalg.svd(res.t_hat_g, compute_uv=False)
         assert np.all(svals[4:] <= 1e-9 * svals[0])  # rank <= 2k
-        one = rsvd_complete(inst.t_hat, inst.p, 2, cfg_for(RngStream(71, 5)))
+        one = rsvd_complete(inst.t_hat, inst.p, cfg_for(RngStream(71, 5)))
         svals1 = np.linalg.svd(one.t_hat_g, compute_uv=False)
         assert np.all(svals1[2:] <= 1e-9 * svals1[0])  # rank <= k
 
     def test_auto_p_estimation(self):
         inst = gen_completion(200, 2, 1.0, 0.6, 0.0, True, RngStream(71, 6))
-        res = rsvd_complete(inst.t_hat, "auto", 2, cfg_for(RngStream(71, 7)))
+        res = rsvd_complete(inst.t_hat, "auto", cfg_for(RngStream(71, 7)))
         observed = float(np.mean(inst.omega != 0.0))
         assert res.p_used == pytest.approx(observed)
         # explicit mask wins over the zero-equals-missing convention
-        res2 = rsvd_complete(inst.t_hat, "auto", 2, cfg_for(RngStream(71, 7)),
+        res2 = rsvd_complete(inst.t_hat, "auto", cfg_for(RngStream(71, 7)),
                              mask=inst.omega)
         assert res2.p_used == pytest.approx(observed)
         with pytest.raises(ValueError):
@@ -132,26 +131,26 @@ class TestCompletion:
 class TestEntryCI:
     def test_perfect_fit_zero_width(self):
         inst = gen_completion(40, 2, 1.0, 1.0, 0.0, True, RngStream(72, 0))
-        res = rsvd_complete(inst.t_hat, 1.0, 2, cfg_for(RngStream(72, 1)))
-        ci = entry_ci(res, inst.t_hat, 1.0, 3, 7, 0.05)
+        res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(72, 1)))
+        ci = entry_ci_batch(res, inst.t_hat, [(3, 7)], 0.05)[0]
         assert ci.v_hat <= 1e-16
         assert ci.hi - ci.lo <= 1e-7
         assert ci.lo <= ci.estimate <= ci.hi
 
     def test_symmetry_under_symmetric_inputs(self):
         inst = gen_completion(100, 2, 1.0, 0.7, 0.5, True, RngStream(72, 2))
-        res = rsvd_complete(inst.t_hat, inst.p, 2, cfg_for(RngStream(72, 3)),
+        res = rsvd_complete(inst.t_hat, inst.p, cfg_for(RngStream(72, 3)),
                             mode="symmetrized")
-        a = entry_ci(res, inst.t_hat, inst.p, 4, 9, 0.05)
-        b = entry_ci(res, inst.t_hat, inst.p, 9, 4, 0.05)
+        a = entry_ci_batch(res, inst.t_hat, [(4, 9)], 0.05)[0]
+        b = entry_ci_batch(res, inst.t_hat, [(9, 4)], 0.05)[0]
         assert a.v_hat == pytest.approx(b.v_hat, abs=1e-12)
 
     def test_width_scales_with_quantile(self):
         inst = gen_completion(100, 2, 1.0, 0.7, 0.5, True, RngStream(72, 4))
-        res = rsvd_complete(inst.t_hat, inst.p, 2, cfg_for(RngStream(72, 5)))
+        res = rsvd_complete(inst.t_hat, inst.p, cfg_for(RngStream(72, 5)))
         from rsvdlab.stats import normal_quantile_two_sided
-        a = entry_ci(res, inst.t_hat, inst.p, 2, 11, 0.05)
-        b = entry_ci(res, inst.t_hat, inst.p, 2, 11, 0.3173)
+        a = entry_ci_batch(res, inst.t_hat, [(2, 11)], 0.05)[0]
+        b = entry_ci_batch(res, inst.t_hat, [(2, 11)], 0.3173)[0]
         ratio = (a.hi - a.lo) / (b.hi - b.lo)
         expected = normal_quantile_two_sided(0.05) / normal_quantile_two_sided(0.3173)
         assert ratio == pytest.approx(expected, rel=1e-12)
@@ -161,7 +160,7 @@ class TestEntryCI:
         # the data-driven variance stays within a factor 2 of the oracle
         inst = gen_completion(1500, 3, 1.0, 0.5, 1.0, True, RngStream(72, 6))
         cfg = SketchConfig(k=3, k_tilde=8, a_n=8, g=4, stream=RngStream(72, 7))
-        res = rsvd_complete(inst.t_hat, inst.p, 3, cfg)
+        res = rsvd_complete(inst.t_hat, inst.p, cfg)
         pairs = [(11, 700), (23, 1404), (901, 55), (1200, 301), (4, 1499)]
         cis = entry_ci_batch(res, inst.t_hat, pairs, 0.05)
         for ci in cis:
@@ -170,11 +169,9 @@ class TestEntryCI:
 
     def test_alpha_validation(self):
         inst = gen_completion(30, 2, 1.0, 1.0, 0.0, True, RngStream(72, 8))
-        res = rsvd_complete(inst.t_hat, 1.0, 2, cfg_for(RngStream(72, 9)))
+        res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(72, 9)))
         with pytest.raises(ValueError):
-            entry_ci(res, inst.t_hat, 1.0, 0, 1, 1.5)
-        with pytest.raises(ValueError):
-            entry_ci(res, inst.t_hat, 0.5, 0, 1, 0.05)  # p mismatch
+            entry_ci_batch(res, inst.t_hat, [(0, 1)], 1.5)
 
 
 class TestMissingPca:
@@ -185,7 +182,7 @@ class TestMissingPca:
         # a small perturbation; at d ~ 10 the deletion dominates the gap.)
         inst = gen_missing_pca(100, 5000, 3, 1.0, 0.0, RngStream(902, 0))
         cfg = SketchConfig(k=3, k_tilde=8, a_n=3, g=3, stream=RngStream(903, 0))
-        u = rsvd_missing_pca(inst.x_obs, 1.0, 3, cfg)
+        u = rsvd_missing_pca(inst.x_obs, 1.0, cfg)
         assert d2(u, inst.u) <= 0.05
 
     def test_large_g_converges_to_exact_eigenvectors(self):
@@ -193,7 +190,7 @@ class TestMissingPca:
         q = missing_pca_gram(inst.x_obs, 1.0)
         u_exact = sym_eig(q).vectors[:, :2]
         cfg = SketchConfig(k=2, k_tilde=6, a_n=2, g=6, stream=RngStream(905, 0))
-        u = rsvd_missing_pca(inst.x_obs, 1.0, 2, cfg)
+        u = rsvd_missing_pca(inst.x_obs, 1.0, cfg)
         assert d2(u, u_exact) <= 1e-6
 
     def test_sparse_regime_parity_with_exact(self):

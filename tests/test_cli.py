@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -33,11 +34,41 @@ class TestSvd:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["symmetric"] is True
 
-    def test_sym_flag_on_asymmetric_input_is_usage_error(self, tmp_path):
+    def test_sym_flag_on_asymmetric_input_is_usage_error(self, tmp_path, capsys):
         write_matrix_market(tmp_path / "m.mm", np.array([[0.0, 1.0], [0.0, 0.0]]))
         code = run_cli("svd", str(tmp_path / "m.mm"), "--k", "1",
                        "--sym", "--out", str(tmp_path / "out"))
         assert code == 2
+        assert "not symmetric" in capsys.readouterr().err
+
+    def test_auto_mode_checks_symmetry_once(self, tmp_path, monkeypatch):
+        a = np.random.default_rng(3).standard_normal((30, 30))
+        write_matrix_market(tmp_path / "m.mm", a + a.T)
+        calls = []
+        modules = [m for name, m in list(sys.modules.items())
+                   if name.startswith("rsvdlab") and hasattr(m, "symmetry_defect")]
+        for module in modules:
+            def counted(x, _original=module.symmetry_defect):
+                calls.append(1)
+                return _original(x)
+            monkeypatch.setattr(module, "symmetry_defect", counted)
+        out = tmp_path / "out"
+        assert run_cli("svd", str(tmp_path / "m.mm"), "--k", "2",
+                       "--out", str(out)) == 0
+        assert json.loads((out / "meta.json").read_text())["symmetric"] is True
+        assert len(calls) == 1
+
+    def test_auto_mode_on_square_asymmetric_input_matches_asym(self, tmp_path):
+        rng = np.random.default_rng(4)
+        write_matrix_market(tmp_path / "m.mm", rng.standard_normal((40, 40)))
+        auto, asym = tmp_path / "auto", tmp_path / "asym"
+        assert run_cli("svd", str(tmp_path / "m.mm"), "--k", "2",
+                       "--out", str(auto)) == 0
+        assert run_cli("svd", str(tmp_path / "m.mm"), "--k", "2", "--asym",
+                       "--out", str(asym)) == 0
+        for name in ("U.mm", "sigma.csv"):
+            assert (auto / name).read_bytes() == (asym / name).read_bytes()
+        assert json.loads((auto / "meta.json").read_text())["symmetric"] is False
 
     def test_wide_input_below_k_tilde_rows_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -250,6 +281,17 @@ class TestExperiment:
         path.write_text("{not json")
         assert run_cli("experiment", "--plan", str(path),
                        "--out", str(tmp_path / "o")) == 2
+
+    def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RSVDLAB_SEED", "abc")
+        assert run_cli("experiment", "--plan", "recovery_table_small",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "RSVDLAB_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        monkeypatch.setenv("RSVDLAB_SEED", "77")
+        out = tmp_path / "ok"
+        assert run_cli("experiment", "--plan", "recovery_table_small",
+                       "--out", str(out)) == 0
+        assert json.loads((out / "meta.json").read_text())["plan"]["master_seed"] == 77
 
     def test_unknown_plan_exit_2(self, tmp_path):
         assert run_cli("experiment", "--plan", "no_such_plan",

@@ -6,8 +6,6 @@ import pytest
 from rsvdlab.harness import (
     ExperimentPlan,
     ReplicateRecord,
-    ci_coverage,
-    clt_coverage,
     ellipse_coverage,
     emit_csv,
     load_plan,
@@ -33,6 +31,13 @@ def small_rate_plan(**overrides):
     )
     base.update(overrides)
     return ExperimentPlan(**base)
+
+
+def mean_ci_cover(plan):
+    values = [r.metrics["ci_cover"] for r in run_plan(plan)
+              if "ci_cover" in r.metrics]
+    assert values, "no successful coverage replicates"
+    return float(np.mean(values))
 
 
 def records_equal(a, b):
@@ -219,23 +224,29 @@ class TestCoverage:
                           "k_tilde": 6, "a_n": 2},
             n_grid=(80,), g_list=(2,), replicates=2, master_seed=313,
         )
-        assert ci_coverage(plan) == 1.0
+        assert mean_ci_cover(plan) == 1.0
 
     def test_ci_coverage_decreases_in_alpha(self):
+        params = {"k": 2, "signal_scale": 1.0, "p": 0.7, "sigma_rel": 1.0,
+                  "entry_sample": 200, "k_tilde": 6, "a_n": 4}
         plan = ExperimentPlan(
-            kind="ci_coverage",
-            model_params={"k": 2, "signal_scale": 1.0, "p": 0.7,
-                          "sigma_rel": 1.0, "entry_sample": 200,
-                          "k_tilde": 6, "a_n": 4},
+            kind="ci_coverage", model_params=params,
             n_grid=(300,), g_list=(3,), replicates=3, master_seed=313,
         )
-        wide = ci_coverage(plan, alpha=0.05)
-        narrow = ci_coverage(plan, alpha=0.5)
+        wide = mean_ci_cover(replace(plan, model_params={**params, "alpha": 0.05}))
+        narrow = mean_ci_cover(replace(plan, model_params={**params, "alpha": 0.5}))
         assert narrow < wide
 
-    def test_clt_plan_kind_checked(self):
-        with pytest.raises(ValueError):
-            clt_coverage(small_rate_plan())
+    def test_ci_coverage_unknown_mode_is_an_error(self):
+        plan = ExperimentPlan(
+            kind="ci_coverage",
+            model_params={"k": 2, "p": 0.7, "entry_sample": 20,
+                          "k_tilde": 6, "a_n": 2, "mode": "bogus"},
+            n_grid=(60,), g_list=(1, 2), replicates=2, master_seed=313,
+        )
+        records = run_plan(plan)
+        assert len(records) == 4
+        assert all(r.metrics == {"error": 1.0} for r in records)
 
 
 class TestRecoveryTable:

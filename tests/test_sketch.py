@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rsvdlab.applications import _reconstruct, rsvd_complete
 from rsvdlab.linalg import RankDeficiencyError, orthonormality_defect, qr_thin, svd_thin, sym_eig
 from rsvdlab.models import gen_sbm, gen_wigner
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
 from rsvdlab.sketch import (
+    NotSymmetricError,
     SketchConfig,
     _power_chain,
     combined_sketch,
@@ -68,7 +70,7 @@ def test_power_sketch_total_collapse_names_iteration():
 
 def test_power_sketch_rejects_asymmetric():
     cfg = SketchConfig(k=1, k_tilde=1, a_n=1, g=1, stream=RngStream(7, 4))
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(NotSymmetricError, match="not symmetric"):
         rs_rsvd_sym(np.array([[0.0, 1.0], [0.0, 0.0]]), cfg)
 
 
@@ -186,18 +188,21 @@ def test_singular_value_error_under_small_noise():
 
 
 def test_low_rank_modes():
+    # the sketch returns the basis only; the completion's low-rank modes are
+    # the one shared reconstruction applied to that basis
     a = gaussian_matrix(25, 25, RngStream(36, 2))
     m_hat = (a + a.T) / 2.0
     cfg = SketchConfig(k=3, k_tilde=5, a_n=2, g=2, stream=RngStream(36, 3))
-    one = rs_rsvd_sym(m_hat, cfg, low_rank_mode="one_sided")
-    sym = rs_rsvd_sym(m_hat, cfg, low_rank_mode="symmetrized")
-    none = rs_rsvd_sym(m_hat, cfg, low_rank_mode="none")
-    assert none.low_rank is None
+    one = rsvd_complete(m_hat, 1.0, cfg, mode="one_sided")
+    sym = rsvd_complete(m_hat, 1.0, cfg, mode="symmetrized")
+    for res in (one, sym):
+        assert np.array_equal(res.t_hat_g, _reconstruct(res.u_hat_g, m_hat, res.mode))
+    assert np.array_equal(one.u_hat_g, rs_rsvd_sym(m_hat, cfg).u_hat_g)
     proj = one.u_hat_g @ (one.u_hat_g.T @ m_hat)
-    assert np.allclose(one.low_rank, proj, atol=1e-12)
-    assert np.allclose(sym.low_rank, (proj + proj.T) / 2.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        rs_rsvd_sym(m_hat, cfg, low_rank_mode="bogus")
+    assert np.allclose(one.t_hat_g, proj, atol=1e-12)
+    assert np.allclose(sym.t_hat_g, (proj + proj.T) / 2.0, atol=1e-12)
+    with pytest.raises(ValueError, match="bogus"):
+        rsvd_complete(m_hat, 1.0, cfg, mode="bogus")
 
 
 def test_rank_exceeds_sketch_rank():
