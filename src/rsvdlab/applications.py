@@ -98,29 +98,23 @@ def match_labels(tau_hat, tau, n_clusters=None):
     return permuted, bool(best_hits == n), float(error_rate)
 
 
-def estimate_sampling_rate(t_hat, mask=None) -> float:
-    """Observed fraction of entries; zeros count as missing when no mask
-    is given (ambiguous only if the signal itself has exact zeros)."""
+def estimate_sampling_rate(t_hat) -> float:
+    """Observed fraction of entries, counting zeros as missing (ambiguous
+    only if the signal itself has exact zeros)."""
     t_hat = as_matrix(t_hat, "observed matrix")
-    if mask is not None:
-        mask = as_matrix(mask, "mask")
-        if mask.shape != t_hat.shape:
-            raise ValueError("mask shape must match the observed matrix")
-        frac = float(np.mean(mask != 0.0))
-    else:
-        frac = float(np.mean(t_hat != 0.0))
+    frac = float(np.mean(t_hat != 0.0))
     if frac <= 0.0:
         raise ValueError("estimated sampling rate is zero")
     return frac
 
 
-def _completion_inputs(t_hat, p, mask):
+def _completion_inputs(t_hat, p):
     """The rescaled observation T_hat / p and the sampling rate used."""
     t_hat = as_matrix(t_hat, "observed matrix")
     if isinstance(p, str):
         if p != "auto":
             raise ValueError("p must be a probability or 'auto'")
-        p_used = estimate_sampling_rate(t_hat, mask)
+        p_used = estimate_sampling_rate(t_hat)
     else:
         p_used = float(p)
         if not 0.0 < p_used <= 1.0:
@@ -139,26 +133,24 @@ def _reconstruct(u, m_hat, mode):
     raise ValueError(f"mode must be 'one_sided' or 'symmetrized', got {mode!r}")
 
 
-def rsvd_complete(t_hat, p, cfg: SketchConfig, mode="one_sided",
-                  mask=None) -> CompletionResult:
+def rsvd_complete(t_hat, p, cfg: SketchConfig, mode="one_sided") -> CompletionResult:
     """Low-rank completion of a partially observed symmetric matrix.
 
     Scales the observation by 1/p, sketches it at rank cfg.k, and projects
     onto the estimated singular subspace: one_sided returns
     U U^T (T_hat / p), symmetrized its symmetric average.  ``p`` may be the
-    string "auto" to estimate the sampling rate from the data (or the
-    supplied mask).
+    string "auto" to estimate the sampling rate from the data.
     """
-    m_hat, p_used = _completion_inputs(t_hat, p, mask)
+    m_hat, p_used = _completion_inputs(t_hat, p)
     u = rs_rsvd_sym(m_hat, cfg).u_hat_g
     return CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
                             mode=mode, p_used=p_used)
 
 
-def exact_complete(t_hat, p, k, mode="one_sided", mask=None) -> CompletionResult:
+def exact_complete(t_hat, p, k, mode="one_sided") -> CompletionResult:
     """Completion baseline using the exact k leading (by magnitude)
     eigenvectors of the rescaled observation instead of the sketch."""
-    m_hat, p_used = _completion_inputs(t_hat, p, mask)
+    m_hat, p_used = _completion_inputs(t_hat, p)
     u = sym_eig(m_hat).vectors[:, :k]
     return CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
                             mode=mode, p_used=p_used)

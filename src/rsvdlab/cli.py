@@ -8,7 +8,7 @@ seeds), so reruns with the same flags are byte-identical.  Exit codes:
 """
 
 import argparse
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 import json
 import os
@@ -354,15 +354,7 @@ def cmd_experiment(args):
     emit_csv(records, out_dir / "records.csv")
     _write_meta(out_dir, {
         "command": "experiment",
-        "plan": {
-            "kind": plan.kind,
-            "model_params": plan.model_params,
-            "n_grid": list(plan.n_grid),
-            "g_list": list(plan.g_list),
-            "replicates": plan.replicates,
-            "master_seed": plan.master_seed,
-            "parallelism": plan.parallelism,
-        },
+        "plan": asdict(plan),
         "records": len(records),
     })
     return EXIT_OK

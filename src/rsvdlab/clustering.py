@@ -52,7 +52,7 @@ def _assign(x, centers):
     return np.argmin(d2, axis=1)
 
 
-def geometric_median(points, tol=_WEISZFELD_TOL, cap=_WEISZFELD_CAP):
+def geometric_median(points):
     """Weiszfeld iteration for the point minimizing summed Euclidean
     distances; iterates landing on a data point stay there."""
     points = np.asarray(points, dtype=np.float64)
@@ -60,14 +60,14 @@ def geometric_median(points, tol=_WEISZFELD_TOL, cap=_WEISZFELD_CAP):
         raise ValueError("need a nonempty 2-d point set")
     y = points.mean(axis=0)
     scale = max(float(np.max(np.abs(points))), 1e-300)
-    for _ in range(cap):
+    for _ in range(_WEISZFELD_CAP):
         diff = points - y
         dist = np.sqrt(np.sum(diff * diff, axis=1))
         if np.any(dist < 1e-14 * scale):
             return points[int(np.argmin(dist))].copy()
         w = 1.0 / dist
         y_new = (points * w[:, None]).sum(axis=0) / np.sum(w)
-        if np.linalg.norm(y_new - y) <= tol * scale:
+        if np.linalg.norm(y_new - y) <= _WEISZFELD_TOL * scale:
             return y_new
         y = y_new
     return y

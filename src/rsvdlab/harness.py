@@ -41,15 +41,6 @@ from .stats import chi2_quantile
 from .subspace import procrustes_align
 from .theory import clt_gamma_sbm_all
 
-PLAN_KINDS = (
-    "rate_regression",
-    "recovery_table",
-    "clt_coverage",
-    "ci_coverage",
-    "pca_sweep",
-    "edm_completion",
-)
-
 _DEFAULT_B = [[0.8, 0.3], [0.3, 0.8]]
 _CI_FLOAT_SLACK = 1e-9
 
@@ -65,7 +56,7 @@ class ExperimentPlan:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.kind not in PLAN_KINDS:
+        if self.kind not in _RUNNERS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
@@ -112,16 +103,6 @@ def load_plan(source) -> ExperimentPlan:
     )
 
 
-def _sketch_config(params, n, g, stream, k):
-    return SketchConfig(
-        k=k,
-        k_tilde=int(params.get("k_tilde", 12)),
-        a_n=resolve_a_n(params.get("a_n", "ceil_log"), n),
-        g=g,
-        stream=stream.child("sketch"),
-    )
-
-
 def _rho(params, n):
     c = float(params.get("rho_c", 1.0))
     expo = float(params.get("rho_exponent", 0.0))
@@ -136,7 +117,11 @@ def _sbm_from(params, n, stream):
 
 
 def _chain(m_hat, params, n, g_list, stream, k):
-    cfg = _sketch_config(params, n, max(g_list), stream, k=k)
+    """Sketch outputs at every g in ``g_list`` from one chain, with the
+    plan's k_tilde (default 12) and a_n rule (default ceil(log n))."""
+    cfg = SketchConfig(k=k, k_tilde=int(params.get("k_tilde", 12)),
+                       a_n=resolve_a_n(params.get("a_n", "ceil_log"), n),
+                       g=max(g_list), stream=stream.child("sketch"))
     return rs_rsvd_sym_chain(m_hat, cfg, g_list)
 
 

@@ -14,6 +14,8 @@ import numpy as np
 SYM_EIG_MAX_N = 4096
 SYM_EIG_TOL = 1e-10       # largest |S - S^T| entry sym_eig accepts
 ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
+_QR_RCOND = 1e-12         # smallest R diagonal, relative to ||A||_F, qr_thin accepts
+_SIGN_TOL = 1e-8          # entries below this fraction of a column's peak skip the sign rule
 
 
 class RankDeficiencyError(ValueError):
@@ -75,7 +77,7 @@ def require_orthonormal(q, name="basis") -> np.ndarray:
     return q
 
 
-def _fix_column_signs(u, companion=None, tol=1e-8):
+def _fix_column_signs(u, companion=None):
     """Make the first significantly nonzero entry of each column of ``u``
     nonnegative; flip the matching column of ``companion`` alongside."""
     u = u.copy()
@@ -85,7 +87,7 @@ def _fix_column_signs(u, companion=None, tol=1e-8):
         peak = np.max(np.abs(col))
         if peak == 0.0:
             continue
-        idx = np.argmax(np.abs(col) > tol * peak)
+        idx = np.argmax(np.abs(col) > _SIGN_TOL * peak)
         if col[idx] < 0.0:
             u[:, j] = -col
             if companion is not None:
@@ -93,28 +95,34 @@ def _fix_column_signs(u, companion=None, tol=1e-8):
     return u if companion is None else (u, companion)
 
 
-def qr_thin(a, rcond=1e-12):
+def signed_qr(a):
+    """Reduced QR of a matrix or of a stack of matrices (leading axes), with
+    every R diagonal made nonnegative; a zero diagonal counts as positive."""
+    q, r = np.linalg.qr(a, mode="reduced")
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    q *= signs[..., None, :]
+    r *= signs[..., :, None]
+    return q, r
+
+
+def qr_thin(a):
     """Thin QR with nonnegative R diagonal.
 
     Raises RankDeficiencyError (with the offending column index) when a
-    diagonal entry of R falls below ``rcond`` times the Frobenius norm of
-    the input.
+    diagonal entry of R falls below 1e-12 times the Frobenius norm of the
+    input.
     """
     a = as_matrix(a, "QR input")
     rows, cols = a.shape
     if rows < cols:
         raise ValueError(f"QR input must be tall, got {rows}x{cols}")
-    q, r = np.linalg.qr(a, mode="reduced")
-    signs = np.sign(np.diagonal(r)).copy()
-    signs[signs == 0.0] = 1.0
-    q = q * signs
-    r = r * signs[:, None]
+    q, r = signed_qr(a)
     scale = float(np.linalg.norm(a))
-    bad = np.flatnonzero(np.abs(np.diagonal(r)) <= rcond * scale)
+    bad = np.flatnonzero(np.abs(np.diagonal(r)) <= _QR_RCOND * scale)
     if bad.size:
         j = int(bad[0])
         raise RankDeficiencyError(
-            f"rank-deficient QR input: R[{j},{j}] below {rcond:g} * ||A||_F",
+            f"rank-deficient QR input: R[{j},{j}] below {_QR_RCOND:g} * ||A||_F",
             column=j,
         )
     return q, r

@@ -1,8 +1,9 @@
-"""Matrix Market readers/writers for dense matrices, plus a CSV writer.
+"""Matrix Market reader and writer for dense matrices, plus a CSV writer.
 
-Supports the ``array`` and ``coordinate`` formats with ``general`` or
-``symmetric`` symmetry, real or integer fields.  Values are written with
-17 significant digits so write/read round-trips are exact.
+The reader accepts the ``array`` and ``coordinate`` formats with
+``general`` or ``symmetric`` symmetry, real or integer fields; the writer
+emits ``array real general``.  Values are written with 17 significant
+digits so write/read round-trips are exact.
 """
 
 from pathlib import Path
@@ -18,44 +19,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_matrix_market(path, a, comment=None):
+def write_matrix_market(path, a):
     """Write a dense matrix in Matrix Market array format (column-major)."""
     a = as_matrix(a, "matrix")
     rows, cols = a.shape
-    lines = [f"{_HEADER_PREFIX} matrix array real general"]
-    if comment:
-        for c in str(comment).splitlines():
-            lines.append(f"%{c}")
-    lines.append(f"{rows} {cols}")
+    lines = [f"{_HEADER_PREFIX} matrix array real general", f"{rows} {cols}"]
     for j in range(cols):
         for i in range(rows):
             lines.append(_fmt(a[i, j]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_matrix_market_coordinate(path, a, symmetric=False, comment=None):
-    """Write the nonzero entries of a dense matrix in coordinate format.
-
-    ``symmetric`` stores only the lower triangle and requires a symmetric
-    input.
-    """
-    a = as_matrix(a, "matrix")
-    rows, cols = a.shape
-    sym_word = "symmetric" if symmetric else "general"
-    if symmetric:
-        if rows != cols or np.max(np.abs(a - a.T)) > 0.0:
-            raise ValueError("symmetric coordinate output requires an exactly symmetric matrix")
-    ii, jj = np.nonzero(a)
-    if symmetric:
-        keep = ii >= jj
-        ii, jj = ii[keep], jj[keep]
-    lines = [f"{_HEADER_PREFIX} matrix coordinate real {sym_word}"]
-    if comment:
-        for c in str(comment).splitlines():
-            lines.append(f"%{c}")
-    lines.append(f"{rows} {cols} {len(ii)}")
-    for i, j in zip(ii, jj):
-        lines.append(f"{i + 1} {j + 1} {_fmt(a[i, j])}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

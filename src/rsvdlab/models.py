@@ -8,13 +8,10 @@ and avoids an n x n eigensolve.
 """
 
 from dataclasses import dataclass
-import json
-from pathlib import Path
 
 import numpy as np
 
 from .linalg import as_matrix, svd_thin, _fix_column_signs
-from .mmio import write_matrix_market
 from .rng import RngStream, standard_normal
 
 
@@ -25,8 +22,6 @@ class SbmInstance:
     tau: np.ndarray      # community labels in [0, K)
     u: np.ndarray        # leading d eigenvectors of p_mat
     lam: np.ndarray      # matching eigenvalues, descending |.|
-    rho: float
-    stream: RngStream
 
 
 @dataclass
@@ -38,7 +33,6 @@ class CompletionInstance:
     sigma: float
     u: np.ndarray
     lam: np.ndarray
-    stream: RngStream
 
 
 @dataclass
@@ -50,7 +44,6 @@ class MissingPcaInstance:
     sigma: float
     u: np.ndarray        # left singular vectors of B (eigenvectors of B B^T)
     lam: np.ndarray      # eigenvalues of B B^T
-    stream: RngStream
 
 
 def _mirror_upper(full):
@@ -92,13 +85,11 @@ def _block_eigenpairs(labels, core, n_blocks):
     return vals, _fix_column_signs(u)
 
 
-def gen_sbm(n, b, pi, rho, d, stream: RngStream, hollow_diagonal=False) -> SbmInstance:
+def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
     """Sample a K-block stochastic blockmodel graph with sparsity rho.
 
     Labels are iid from pi; edges (diagonal included) are independent
-    Bernoulli(rho * B[tau_i, tau_j]), mirrored below the diagonal.  Set
-    ``hollow_diagonal`` to zero out self-loops; the returned p_mat stays
-    the full-rank-K signal either way.
+    Bernoulli(rho * B[tau_i, tau_j]), mirrored below the diagonal.
     """
     b = as_matrix(b, "B")
     k_blocks = b.shape[0]
@@ -125,13 +116,8 @@ def gen_sbm(n, b, pi, rho, d, stream: RngStream, hollow_diagonal=False) -> SbmIn
     tau = np.minimum(np.searchsorted(cum, gen.random(n), side="right"), k_blocks - 1)
     p_mat = np.take(rho * b, tau[:, None] * k_blocks + tau[None, :])
     a = symmetric_bernoulli(n, p_mat, gen)
-    if hollow_diagonal:
-        np.fill_diagonal(a, 0.0)
     vals, u = _block_eigenpairs(tau, rho * b, k_blocks)
-    return SbmInstance(
-        a=a, p_mat=p_mat, tau=tau, u=u[:, :d], lam=vals[:d], rho=float(rho),
-        stream=stream,
-    )
+    return SbmInstance(a=a, p_mat=p_mat, tau=tau, u=u[:, :d], lam=vals[:d])
 
 
 def _homogeneous_core(k, gen, signal_scale):
@@ -183,7 +169,7 @@ def gen_completion(n, k, signal_scale, p, sigma, homogeneous, stream: RngStream)
     t_hat = omega * (t + noise)
     return CompletionInstance(
         t=t, t_hat=t_hat, omega=omega, p=float(p), sigma=float(sigma),
-        u=u[:, :k], lam=lam[:k], stream=stream,
+        u=u[:, :k], lam=lam[:k],
     )
 
 
@@ -204,7 +190,7 @@ def gen_missing_pca(d, m, k, p, sigma, stream: RngStream) -> MissingPcaInstance:
     u, s, _ = svd_thin(b)
     return MissingPcaInstance(
         x_obs=x_obs, b=b, f=f, p=float(p), sigma=float(sigma),
-        u=u, lam=s ** 2, stream=stream,
+        u=u, lam=s ** 2,
     )
 
 
@@ -247,29 +233,3 @@ def gen_wigner(n, sigma_n, sub_gaussian_mode, stream: RngStream) -> np.ndarray:
     signs = 2.0 * gen.integers(0, 2, size=(n, n)).astype(np.float64) - 1.0
     return _mirror_upper(sigma_n * signs)
 
-
-def export_instance(instance, out_dir, prefix="instance"):
-    """Write an instance's matrices as Matrix Market files plus a JSON
-    sidecar with the sampling parameters and seed."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "master_seed": instance.stream.master_seed,
-        "stream_id": instance.stream.stream_id,
-    }
-    if isinstance(instance, SbmInstance):
-        write_matrix_market(out / f"{prefix}_adjacency.mm", instance.a)
-        write_matrix_market(out / f"{prefix}_p_mat.mm", instance.p_mat)
-        meta.update(tau=instance.tau.tolist(), rho=instance.rho)
-    elif isinstance(instance, CompletionInstance):
-        write_matrix_market(out / f"{prefix}_observed.mm", instance.t_hat)
-        write_matrix_market(out / f"{prefix}_signal.mm", instance.t)
-        meta.update(p=instance.p, sigma=instance.sigma)
-    elif isinstance(instance, MissingPcaInstance):
-        write_matrix_market(out / f"{prefix}_observed.mm", instance.x_obs)
-        meta.update(p=instance.p, sigma=instance.sigma)
-    else:
-        raise TypeError(f"unsupported instance type {type(instance).__name__}")
-    (out / f"{prefix}_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )

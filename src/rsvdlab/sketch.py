@@ -6,11 +6,13 @@ largest; the rectangular driver does the same with (M M^T)^g M G.  Both
 run through one power chain: the a_n blocks sit side by side in one
 combined Gaussian draw, every step applies one matrix to all of them in a
 single multiply, so the data matrix is traversed only g (resp. 2g+1)
-times, and every multiply is followed by a thin QR per block so the
-iterated powers never overflow: the sketch singular values are recovered
-from the accumulated product of R factors.  The drivers return the basis
-U, the singular values read off U^T M_hat, the chosen block and its
-sketched sigma_k; reconstructions built on U belong to the applications.
+times.  The product is then viewed as an (a_n, n, k_tilde) stack and
+re-orthonormalized by one stacked thin QR, so the iterated powers never
+overflow: the sketch singular values are recovered from the per-block
+products of R factors, and one stacked singular-value call picks the
+winning block.  Both return the basis U, the singular values read off
+U^T M_hat, the chosen block and its sketched sigma_k; reconstructions
+built on U belong to the applications.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from .linalg import (
     RankDeficiencyError,
     as_matrix,
     orthonormality_defect,
+    signed_qr,
     singular_values,
     svd_thin,
     symmetry_defect,
@@ -103,28 +106,6 @@ class NotSymmetricError(ValueError):
     """Raised when the symmetric driver is handed an asymmetric matrix."""
 
 
-def _qr_step(y, iteration):
-    """Thin QR that tolerates trailing rank collapse.
-
-    Exactly low-rank inputs leave trailing R diagonals at roundoff level;
-    that is expected (the sketch width may exceed the rank) and harmless
-    since Q R = Y still holds.  Only a total collapse (the whole iterate
-    vanishing) is an error.
-    """
-    scale = float(np.linalg.norm(y))
-    q, r = np.linalg.qr(y, mode="reduced")
-    signs = np.sign(np.diagonal(r)).copy()
-    signs[signs == 0.0] = 1.0
-    q = q * signs
-    r = r * signs[:, None]
-    if scale == 0.0 or np.max(np.abs(np.diagonal(r))) <= _COLLAPSE_RCOND * scale:
-        raise RankDeficiencyError(
-            f"sketch collapsed to numerical rank 0 at power iteration {iteration}",
-            iteration=iteration,
-        )
-    return q, r
-
-
 def _check_symmetric(m_hat, name="M_hat"):
     m_hat = as_matrix(m_hat, name)
     n = m_hat.shape[0]
@@ -141,34 +122,25 @@ def combined_sketch(n: int, cfg: SketchConfig) -> np.ndarray:
     return gaussian_matrix(n, cfg.a_n * cfg.k_tilde, cfg.stream)
 
 
-def _select_winner(rprods, k):
-    """Index, sigma_k, and R product of the block maximizing the k-th
-    sketched singular value; ties go to the lowest block index."""
-    best = None
-    for a, rprod in enumerate(rprods):
-        svals = singular_values(rprod)
-        sig_k = float(svals[k - 1]) if k <= svals.size else 0.0
-        if best is None or sig_k > best[0]:
-            best = (sig_k, a, rprod)
-    return best[1], best[0], best[2]
-
-
-def _extract_output(m_hat, q_all, rprods, k, k_tilde):
-    chosen, sig_k, rprod = _select_winner(rprods, k)
+def _extract_output(m_hat, q, rprods, k):
+    """Output of the block maximizing the k-th sketched singular value;
+    ties go to the lowest block index."""
+    sig_k = np.linalg.svd(rprods, compute_uv=False)[:, k - 1]
+    chosen = int(np.argmax(sig_k))
+    rprod = rprods[chosen]
     p, s_all, _ = svd_thin(rprod)
     if s_all[0] <= 0.0 or s_all[k - 1] <= s_all[0] * max(rprod.shape) * np.finfo(np.float64).eps:
         raise RankDeficiencyError(
             f"target rank k={k} exceeds the numerical rank of the sketch"
         )
-    q = q_all[:, chosen * k_tilde:(chosen + 1) * k_tilde]
-    u = _fix_column_signs(q @ p[:, :k])
+    u = _fix_column_signs(q[chosen] @ p[:, :k])
     if orthonormality_defect(u) > 1e-10:
         raise RankDeficiencyError("extracted singular vectors lost orthonormality")
     sigma_tilde = singular_values(u.T @ m_hat)
     return RsvdOutput(
         u_hat_g=u,
         sigma_tilde=sigma_tilde,
-        sigma_k_sketch=sig_k,
+        sigma_k_sketch=float(sig_k[chosen]),
         chosen_sketch=chosen,
     )
 
@@ -180,24 +152,33 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde):
 
     ``g_star`` holds the blocks side by side, k_tilde columns each.  Every
     step is one combined multiply (a single pass over the data matrix);
-    each block is then re-orthonormalized independently, so the per-block
-    states match running the blocks in isolation.  ``ops[0]`` is M_hat
-    itself, which the extracted singular values are read from.
+    the product is viewed as an (a_n, rows, k_tilde) stack and every block
+    is re-orthonormalized by one stacked QR, so the per-block states match
+    running the blocks in isolation.  The per-block R products form an
+    (a_n, k_tilde, k_tilde) stack.  Exactly low-rank inputs leave trailing
+    R diagonals at roundoff level, which is harmless since Q R = Y still
+    holds; only a block whose whole iterate vanishes is an error.
+    ``ops[0]`` is M_hat itself, which the extracted singular values are
+    read from.
     """
     a_n = g_star.shape[1] // k_tilde
-    rprods = [None] * a_n
     current = g_star
     outputs = {}
     for step, op in enumerate(ops, start=1):
         current = op @ current
-        for a in range(a_n):
-            sl = slice(a * k_tilde, (a + 1) * k_tilde)
-            q_a, r_a = _qr_step(current[:, sl], iteration=step)
-            current[:, sl] = q_a
-            rprods[a] = r_a if step == 1 else r_a @ rprods[a]
+        stack = current.reshape(current.shape[0], a_n, k_tilde).transpose(1, 0, 2)
+        scale = np.linalg.norm(stack, axis=(1, 2))
+        q, r = signed_qr(stack)
+        peak = np.max(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
+        if np.any((scale == 0.0) | (peak <= _COLLAPSE_RCOND * scale)):
+            raise RankDeficiencyError(
+                f"sketch collapsed to numerical rank 0 at power iteration {step}",
+                iteration=step,
+            )
+        rprods = r if step == 1 else r @ rprods
+        stack[...] = q  # Q back into the product's buffer for the next multiply
         if step in snapshots:
-            outputs[snapshots[step]] = _extract_output(
-                ops[0], current, rprods, k, k_tilde)
+            outputs[snapshots[step]] = _extract_output(ops[0], q, rprods, k)
     return outputs
 
 

@@ -120,10 +120,6 @@ class TestCompletion:
         res = rsvd_complete(inst.t_hat, "auto", cfg_for(RngStream(71, 7)))
         observed = float(np.mean(inst.omega != 0.0))
         assert res.p_used == pytest.approx(observed)
-        # explicit mask wins over the zero-equals-missing convention
-        res2 = rsvd_complete(inst.t_hat, "auto", cfg_for(RngStream(71, 7)),
-                             mask=inst.omega)
-        assert res2.p_used == pytest.approx(observed)
         with pytest.raises(ValueError):
             estimate_sampling_rate(np.zeros((5, 5)))
 

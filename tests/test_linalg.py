@@ -6,6 +6,7 @@ from rsvdlab.linalg import (
     norms,
     orthonormality_defect,
     qr_thin,
+    signed_qr,
     svd_thin,
     sym_eig,
 )
@@ -27,6 +28,14 @@ def test_qr_random_tall():
     assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
     assert np.all(np.diag(r) >= 0.0)
     assert np.allclose(np.tril(r, -1), 0.0)
+    # a stack factors slice by slice as each matrix alone would
+    stack = gaussian_matrix(3 * 7, 3, RngStream(1, 2)).reshape(3, 7, 3)
+    q_s, r_s = signed_qr(stack)
+    for b in range(3):
+        q_b, r_b = qr_thin(stack[b])
+        assert np.max(np.abs(q_s[b] - q_b)) <= 1e-13
+        assert np.max(np.abs(r_s[b] - r_b)) <= 1e-13
+        assert np.all(np.diagonal(r_s[b]) >= 0.0)
 
 
 def test_qr_rank_deficiency_names_column():

@@ -1,13 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from rsvdlab.linalg import norms
-from rsvdlab.mmio import read_matrix_market
 from rsvdlab.models import (
     edm_from_points,
-    export_instance,
     gen_completion,
     gen_edm,
     gen_missing_pca,
@@ -60,11 +56,6 @@ class TestSbm:
     def test_coherence_bound(self):
         inst = gen_sbm(500, B0, [0.5, 0.5], 1.0, 2, RngStream(5, 0))
         assert np.sqrt(500) * norms(inst.u).two_to_inf <= 3.0
-
-    def test_hollow_diagonal_flag(self):
-        inst = gen_sbm(100, [[1.0]], [1.0], 1.0, 1, RngStream(6, 0),
-                       hollow_diagonal=True)
-        assert np.all(np.diag(inst.a) == 0.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -179,21 +170,3 @@ class TestWigner:
         means = [float(gen_wigner(n, 1.0, "gaussian", RngStream(10, 20 + rep)).mean())
                  for rep in range(10)]
         assert abs(np.mean(means)) <= 4.0 / n
-
-
-def test_export_instance_roundtrip(tmp_path):
-    inst = gen_sbm(40, B0, [0.5, 0.5], 0.6, 2, RngStream(11, 0))
-    export_instance(inst, tmp_path, prefix="sbm")
-    a = read_matrix_market(tmp_path / "sbm_adjacency.mm")
-    assert np.array_equal(a, inst.a)
-    meta = json.loads((tmp_path / "sbm_meta.json").read_text())
-    assert meta["rho"] == inst.rho
-    assert meta["tau"] == inst.tau.tolist()
-    assert meta["master_seed"] == 11
-
-    comp = gen_completion(30, 2, 1.0, 0.9, 0.1, True, RngStream(11, 1))
-    export_instance(comp, tmp_path, prefix="comp")
-    t_hat = read_matrix_market(tmp_path / "comp_observed.mm")
-    assert np.array_equal(t_hat, comp.t_hat)
-    meta = json.loads((tmp_path / "comp_meta.json").read_text())
-    assert meta["p"] == 0.9 and meta["sigma"] == 0.1

@@ -68,6 +68,17 @@ def test_power_sketch_total_collapse_names_iteration():
     assert err.value.iteration == 1
 
 
+def test_power_sketch_partial_collapse_of_one_block():
+    # block 0 lies in the null space of M_hat while block 1 survives; the
+    # stacked QR checks every block, so the chain still stops at step 1
+    m_hat = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    g_mat = gaussian_matrix(6, 4, RngStream(7, 5))
+    g_mat[:2, :2] = 0.0
+    with pytest.raises(RankDeficiencyError) as err:
+        _power_chain(g_mat, [m_hat] * 2, {2: 2}, 1, 2)
+    assert err.value.iteration == 1
+
+
 def test_power_sketch_rejects_asymmetric():
     cfg = SketchConfig(k=1, k_tilde=1, a_n=1, g=1, stream=RngStream(7, 4))
     with pytest.raises(NotSymmetricError, match="not symmetric"):
