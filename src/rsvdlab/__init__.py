@@ -9,10 +9,8 @@ deterministic Monte-Carlo experiment harness.
 
 from .rng import RngStream, gaussian_matrix, stable_hash64
 from .linalg import (
-    MatrixNorms,
     RankDeficiencyError,
     SpectrumPair,
-    norms,
     qr_thin,
     svd_thin,
     sym_eig,
@@ -33,7 +31,6 @@ from .models import (
     gen_edm,
     gen_missing_pca,
     gen_sbm,
-    gen_wigner,
 )
 from .applications import (
     ClusteringResult,

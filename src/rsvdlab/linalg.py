@@ -1,4 +1,4 @@
-"""Dense decompositions and norms used by every other module.
+"""Dense decompositions and input checks used by every other module.
 
 Thin QR, thin SVD, and the symmetric eigensolver are LAPACK-backed (via
 numpy) but wrapped with the conventions the rest of the package relies
@@ -16,6 +16,7 @@ SYM_EIG_TOL = 1e-10       # largest |S - S^T| entry sym_eig accepts
 ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
 _QR_RCOND = 1e-12         # smallest R diagonal, relative to ||A||_F, qr_thin accepts
 _SIGN_TOL = 1e-8          # entries below this fraction of a column's peak skip the sign rule
+_TILE = 128               # side of the tiles in which square n x n passes touch a matrix
 
 
 class RankDeficiencyError(ValueError):
@@ -36,13 +37,6 @@ class SpectrumPair(NamedTuple):
     vectors: np.ndarray  # orthonormal columns, one per value
 
 
-class MatrixNorms(NamedTuple):
-    spectral: float
-    frobenius: float
-    two_to_inf: float
-    max: float
-
-
 def as_matrix(a, name="matrix") -> np.ndarray:
     """Validate and return ``a`` as a 2-d float64 array with finite entries."""
     arr = np.asarray(a, dtype=np.float64)
@@ -50,14 +44,32 @@ def as_matrix(a, name="matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # min and max are NaN or infinite exactly when some entry is
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
+def _upper_tiles(n):
+    """(rows, cols) slices of the _TILE-sided tiles on and above the
+    diagonal of an n x n matrix; the last row and column may be partial."""
+    for i0 in range(0, n, _TILE):
+        rows = slice(i0, min(i0 + _TILE, n))
+        for j0 in range(i0, n, _TILE):
+            yield rows, slice(j0, min(j0 + _TILE, n))
+
+
 def symmetry_defect(a) -> float:
-    """Largest entry of |A - A^T|; callers compare it to their own tolerance."""
-    return float(np.max(np.abs(a - a.T)))
+    """Largest entry of |A - A^T|; callers compare it to their own tolerance.
+    Taken over upper tiles against their transposed lower partners, so no
+    n x n temporary is built."""
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"symmetry defect needs a square matrix, got {a.shape}")
+    peaks = []
+    for rows, cols in _upper_tiles(a.shape[0]):
+        diff = a[rows, cols] - a[cols, rows].T
+        peaks.append(np.max(np.abs(diff, out=diff)))
+    return float(np.max(peaks))
 
 
 def orthonormality_defect(q) -> float:
@@ -144,11 +156,6 @@ def svd_thin(y):
     return u, s, v
 
 
-def singular_values(y) -> np.ndarray:
-    y = as_matrix(y, "input")
-    return np.linalg.svd(y, compute_uv=False)
-
-
 def sym_eig(s) -> SpectrumPair:
     """Eigendecomposition of a symmetric matrix, sorted by descending |value|.
 
@@ -171,13 +178,3 @@ def sym_eig(s) -> SpectrumPair:
     vecs = _fix_column_signs(vecs[:, order])
     return SpectrumPair(values=vals, vectors=vecs)
 
-
-def norms(a) -> MatrixNorms:
-    """Spectral, Frobenius, max-row-l2 (two-to-inf) and max-entry norms."""
-    a = as_matrix(a, "input")
-    return MatrixNorms(
-        spectral=float(np.linalg.norm(a, 2)),
-        frobenius=float(np.linalg.norm(a)),
-        two_to_inf=float(np.sqrt(np.max(np.sum(a * a, axis=1)))),
-        max=float(np.max(np.abs(a))),
-    )

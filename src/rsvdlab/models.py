@@ -4,24 +4,34 @@ Each generator returns the observation together with its ground truth
 (leading eigenpairs of the signal matrix), so experiments can measure
 subspace errors without re-factorizing the signal.  Block-structured
 signals get their eigenpairs from the small block core, which is exact
-and avoids an n x n eigensolve.
+and avoids an n x n eigensolve; the SBM's n x n edge probabilities are
+formed only when first read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, svd_thin, _fix_column_signs
+from .linalg import as_matrix, svd_thin, _fix_column_signs, _upper_tiles
 from .rng import RngStream, standard_normal
+
+_ROW_BLOCK = 64   # rows of uniforms drawn at a time by symmetric_bernoulli
 
 
 @dataclass
 class SbmInstance:
     a: np.ndarray        # adjacency, symmetric binary
-    p_mat: np.ndarray    # edge probabilities rho * B[tau_i, tau_j]
+    core: np.ndarray     # K x K edge-probability core rho * B
     tau: np.ndarray      # community labels in [0, K)
     u: np.ndarray        # leading d eigenvectors of p_mat
     lam: np.ndarray      # matching eigenvalues, descending |.|
+
+    @cached_property
+    def p_mat(self) -> np.ndarray:
+        """n x n edge probabilities core[tau_i, tau_j], computed on first access."""
+        k = self.core.shape[0]
+        return np.take(self.core, self.tau[:, None] * k + self.tau[None, :])
 
 
 @dataclass
@@ -46,25 +56,37 @@ class MissingPcaInstance:
     lam: np.ndarray      # eigenvalues of B B^T
 
 
-def _mirror_upper(full):
-    """Symmetric matrix from the upper triangle (diagonal included) of a
-    full square draw; the strict lower triangle of the draw is discarded."""
-    up = np.triu(full)
-    return up + np.triu(full, 1).T
-
-
 def symmetric_bernoulli(n, prob, gen):
     """Symmetric 0/1 matrix with independent Bernoulli upper triangle.
 
-    ``prob`` may be a scalar or an n x n matrix of per-entry probabilities.
+    ``prob`` is a scalar, an n x n matrix (only its upper triangle is read)
+    or a pair (core, labels) for core[labels_i, labels_j].  One (n, n)
+    uniform draw is taken _ROW_BLOCK rows at a time into a reused buffer and
+    compared into the upper triangle, which is then mirrored tile by tile.
     """
-    hits = np.triu(gen.random((n, n)) < prob)
-    return (hits | hits.T).astype(np.float64)
+    core, labels = prob if isinstance(prob, tuple) else (np.broadcast_to(prob, (n, n)), None)
+    out = np.empty((n, n))
+    buf = np.empty((min(_ROW_BLOCK, n), n))
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        draw = buf[:r1 - r0]
+        gen.random(out=draw)
+        block = core[r0:r1, r0:] if labels is None else core[labels[r0:r1]][:, labels[r0:]]
+        np.less(draw[:, r0:], block, out=out[r0:r1, r0:])
+    for rows, cols in _upper_tiles(n):
+        if rows == cols:
+            tile = out[rows, rows]
+            np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+        else:
+            out[cols, rows] = out[rows, cols].T
+    return out
 
 
 def symmetric_gaussian(n, sd, gen):
-    """Symmetric matrix with iid N(0, sd^2) upper triangle."""
-    return _mirror_upper(sd * standard_normal(gen, (n, n)))
+    """Symmetric matrix with iid N(0, sd^2) upper triangle (diagonal
+    included) of one (n, n) draw; the draw's lower triangle is discarded."""
+    full = sd * standard_normal(gen, (n, n))
+    return np.triu(full) + np.triu(full, 1).T
 
 
 def _block_eigenpairs(labels, core, n_blocks):
@@ -114,10 +136,10 @@ def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
     gen = stream.generator()
     cum = np.cumsum(pi)
     tau = np.minimum(np.searchsorted(cum, gen.random(n), side="right"), k_blocks - 1)
-    p_mat = np.take(rho * b, tau[:, None] * k_blocks + tau[None, :])
-    a = symmetric_bernoulli(n, p_mat, gen)
-    vals, u = _block_eigenpairs(tau, rho * b, k_blocks)
-    return SbmInstance(a=a, p_mat=p_mat, tau=tau, u=u[:, :d], lam=vals[:d])
+    core = rho * b
+    a = symmetric_bernoulli(n, (core, tau), gen)
+    vals, u = _block_eigenpairs(tau, core, k_blocks)
+    return SbmInstance(a=a, core=core, tau=tau, u=u[:, :d], lam=vals[:d])
 
 
 def _homogeneous_core(k, gen, signal_scale):
@@ -216,20 +238,4 @@ def gen_edm(n, dim, box, stream: RngStream):
     gen = stream.generator()
     points = box * gen.random((n, dim))
     return edm_from_points(points), points
-
-
-def gen_wigner(n, sigma_n, sub_gaussian_mode, stream: RngStream) -> np.ndarray:
-    """Symmetric noise with iid mean-0, sd sigma_n upper-triangle entries.
-
-    ``sub_gaussian_mode`` is "gaussian" or "bounded" (Rademacher +-sigma_n).
-    """
-    if sigma_n <= 0.0:
-        raise ValueError("sigma_n must be positive")
-    if sub_gaussian_mode not in ("gaussian", "bounded"):
-        raise ValueError("sub_gaussian_mode must be 'gaussian' or 'bounded'")
-    gen = stream.generator()
-    if sub_gaussian_mode == "gaussian":
-        return symmetric_gaussian(n, sigma_n, gen)
-    signs = 2.0 * gen.integers(0, 2, size=(n, n)).astype(np.float64) - 1.0
-    return _mirror_upper(sigma_n * signs)
 

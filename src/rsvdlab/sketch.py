@@ -25,7 +25,6 @@ from .linalg import (
     as_matrix,
     orthonormality_defect,
     signed_qr,
-    singular_values,
     svd_thin,
     symmetry_defect,
     _fix_column_signs,
@@ -112,7 +111,8 @@ def _check_symmetric(m_hat, name="M_hat"):
     if m_hat.shape[1] != n:
         raise ValueError(f"{name} must be square, got {m_hat.shape}")
     asym = symmetry_defect(m_hat)
-    if asym > _SYM_TOL * max(1.0, float(np.max(np.abs(m_hat)))):
+    # asym > tol * max(1, max|M|), with max|M| read only past the tolerance
+    if asym > _SYM_TOL and asym > _SYM_TOL * max(m_hat.max(), -m_hat.min()):
         raise NotSymmetricError(f"{name} is not symmetric: max asymmetry {asym:.3e}")
     return m_hat
 
@@ -136,7 +136,7 @@ def _extract_output(m_hat, q, rprods, k):
     u = _fix_column_signs(q[chosen] @ p[:, :k])
     if orthonormality_defect(u) > 1e-10:
         raise RankDeficiencyError("extracted singular vectors lost orthonormality")
-    sigma_tilde = singular_values(u.T @ m_hat)
+    sigma_tilde = np.linalg.svd(u.T @ m_hat, compute_uv=False)
     return RsvdOutput(
         u_hat_g=u,
         sigma_tilde=sigma_tilde,
@@ -167,7 +167,7 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde):
     for step, op in enumerate(ops, start=1):
         current = op @ current
         stack = current.reshape(current.shape[0], a_n, k_tilde).transpose(1, 0, 2)
-        scale = np.linalg.norm(stack, axis=(1, 2))
+        scale = np.sqrt(np.einsum("aij,aij->a", stack, stack))  # per-block ||.||_F
         q, r = signed_qr(stack)
         peak = np.max(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
         if np.any((scale == 0.0) | (peak <= _COLLAPSE_RCOND * scale)):

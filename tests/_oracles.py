@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: a cyclic Jacobi
 eigensolver, a naive multi-pass repeated sketch, the blockmodel CLT
-covariance one row at a time, and a dense grid search over 2x2 orthogonal
-alignments.
+covariance one row at a time, a dense grid search over 2x2 orthogonal
+alignments, and the dense whole-matrix forms of the passes that the
+package streams in tiles and row blocks.
 """
 
 import numpy as np
@@ -90,3 +91,21 @@ def grid_min_spectral_residual(u1, u2, samples=5000):
             if val < best:
                 best = val
     return best
+
+
+def dense_symmetry_defect(a):
+    """max |A - A^T| from one n x n difference."""
+    return float(np.max(np.abs(a - a.T)))
+
+
+def dense_symmetric_bernoulli(n, prob, gen):
+    """Symmetric 0/1 matrix from one (n, n) uniform draw: the upper
+    triangle (diagonal included) of draw < prob, mirrored."""
+    hits = np.triu(gen.random((n, n)) < prob)
+    return (hits | hits.T).astype(np.float64)
+
+
+def eager_p_mat(core, tau):
+    """n x n blockmodel edge probabilities core[tau_i, tau_j]."""
+    k = core.shape[0]
+    return np.take(core, tau[:, None] * k + tau[None, :])

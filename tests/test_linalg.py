@@ -3,7 +3,6 @@ import pytest
 
 from rsvdlab.linalg import (
     RankDeficiencyError,
-    norms,
     orthonormality_defect,
     qr_thin,
     signed_qr,
@@ -115,32 +114,6 @@ def test_sym_eig_size_cap():
         sym_eig(big)
 
 
-def test_norms_identity():
-    n = 7
-    m = norms(np.eye(n))
-    assert m.spectral == pytest.approx(1.0, abs=1e-10)
-    assert m.two_to_inf == pytest.approx(1.0)
-    assert m.max == pytest.approx(1.0)
-    assert m.frobenius == pytest.approx(np.sqrt(n))
-
-
-def test_norms_single_row():
-    m = norms(np.array([[1.0, 2.0, 2.0]]))
-    assert m.two_to_inf == pytest.approx(3.0)
-    assert m.frobenius == pytest.approx(3.0)
-    assert m.max == pytest.approx(2.0)
-
-
-def test_norms_inequality_chain():
-    a = gaussian_matrix(20, 5, RngStream(29, 1))
-    m = norms(a)
-    n_rows, n_cols = a.shape
-    assert m.spectral / np.sqrt(n_rows) <= m.two_to_inf + 1e-12
-    assert m.two_to_inf <= m.spectral + 1e-12
-    assert m.max <= m.two_to_inf + 1e-12
-    assert m.two_to_inf <= np.sqrt(n_cols) * m.max + 1e-12
-
-
 def test_reconstruction_property_many_instances():
     # svd/sym_eig reconstruction across random sizes up to 64x32
     gen = RngStream(31, 0).generator()
@@ -158,13 +131,6 @@ def test_reconstruction_property_many_instances():
             recon = (pair.vectors * pair.values) @ pair.vectors.T
             rel = np.linalg.norm(recon - sym) / max(np.linalg.norm(sym), 1e-300)
             assert rel <= 1e-9
-
-
-def test_spectral_norm_matches_svd():
-    for seed in range(5):
-        a = gaussian_matrix(30, 12, RngStream(37, seed))
-        ref = np.linalg.svd(a, compute_uv=False)[0]
-        assert norms(a).spectral == pytest.approx(ref, rel=1e-8)
 
 
 def test_non_finite_rejected():

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rsvdlab.applications import _reconstruct, rsvd_complete
 from rsvdlab.linalg import RankDeficiencyError, orthonormality_defect, qr_thin, svd_thin, sym_eig
-from rsvdlab.models import gen_sbm, gen_wigner
+from rsvdlab.models import gen_sbm, symmetric_gaussian
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
 from rsvdlab.sketch import (
     NotSymmetricError,
@@ -188,7 +188,7 @@ def test_singular_value_error_under_small_noise():
     # loose bound: with relative noise 1e-3 and g >= 2 the sketched singular
     # values track the signal's to within 10 * ||E||
     m, _, lam = rank_k_symmetric(80, 3, 9, lam=np.array([3.0, 2.0, 1.0]))
-    noise = gen_wigner(80, 1.0, "gaussian", RngStream(36, 0))
+    noise = symmetric_gaussian(80, 1.0, RngStream(36, 0).generator())
     spectral_e = np.linalg.svd(noise, compute_uv=False)[0]
     scale = 1e-3 * 3.0 / spectral_e
     e = noise * scale
