@@ -60,13 +60,14 @@ def _upper_tiles(n):
 
 
 def symmetry_defect(a) -> float:
-    """Largest entry of |A - A^T|; callers compare it to their own tolerance.
-    Taken over upper tiles against their transposed lower partners, so no
-    n x n temporary is built."""
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"symmetry defect needs a square matrix, got {a.shape}")
+    """Largest entry of |A - A^T| for a square A; callers compare it to their
+    own tolerance.  Taken over upper tiles against their transposed lower
+    partners, so no n x n temporary is built."""
+    n, m = a.shape
+    if n != m:
+        raise ValueError(f"expected a square matrix, got {n}x{m}")
     peaks = []
-    for rows, cols in _upper_tiles(a.shape[0]):
+    for rows, cols in _upper_tiles(n):
         diff = a[rows, cols] - a[cols, rows].T
         peaks.append(np.max(np.abs(diff, out=diff)))
     return float(np.max(peaks))
@@ -164,9 +165,7 @@ def sym_eig(s) -> SpectrumPair:
     rejected.
     """
     s = as_matrix(s, "symmetric input")
-    n, m = s.shape
-    if n != m:
-        raise ValueError(f"expected a square matrix, got {n}x{m}")
+    n = s.shape[0]
     if n > SYM_EIG_MAX_N:
         raise ValueError(f"dense eigensolver limited to {SYM_EIG_MAX_N} rows, got {n}")
     asym = symmetry_defect(s)

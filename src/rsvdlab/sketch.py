@@ -136,7 +136,7 @@ def _extract_output(m_hat, q, rprods, k):
     u = _fix_column_signs(q[chosen] @ p[:, :k])
     if orthonormality_defect(u) > 1e-10:
         raise RankDeficiencyError("extracted singular vectors lost orthonormality")
-    sigma_tilde = np.linalg.svd(u.T @ m_hat, compute_uv=False)
+    sigma_tilde = np.linalg.svd(as_matrix(u.T @ m_hat, "input"), compute_uv=False)
     return RsvdOutput(
         u_hat_g=u,
         sigma_tilde=sigma_tilde,

@@ -52,6 +52,14 @@ def test_symmetry_defect_single_perturbation(n, corner):
     assert defect == 0.0 if i == j else defect > 0.2
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (_TILE + 1, _TILE)])
+def test_symmetry_defect_rejects_non_square(shape):
+    # the dense form broadcasts (1, n) against (n, 1); the tile loop would
+    # read a wrong partner tile; both must be refused instead
+    with pytest.raises(ValueError, match=r"expected a square matrix, got \d+x\d+"):
+        symmetry_defect(np.zeros(shape))
+
+
 def _prob_form(kind, n, seed):
     """(form for symmetric_bernoulli, the same probabilities for the oracle)."""
     gen = np.random.default_rng(seed)

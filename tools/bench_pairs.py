@@ -1,14 +1,15 @@
 """Alternating parent/change runs of the benchmark, summarised per metric.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \\
-        [--pairs 10] [--seed 1001] [--seconds 20] [--workloads a,b] \\
-        [--trace sbm_rate] [--out BENCH_NAME.json]
+        [--seed 1001]
 
 DIR is a checkout of each side (for example made with ``git clone`` and
-``git checkout``).  Pair i runs ``perfbench/run.py --seed SEED+i`` once in
-each checkout, the parent first on even i and the change first on odd i,
-so drift on the machine falls on both sides alike.  Each workload listed in
-``--trace`` also gets one ``--trace 1`` run per side on SEED.
+``git checkout``).  For every workload in the change's BENCHMARK.json, pair
+i of 10 runs ``perfbench/run.py --seed SEED+i`` once in each checkout for
+the ``run_seconds`` that file sets, the parent first on even i and the
+change first on odd i, so drift on the machine falls on both sides alike.
+sbm_rate also gets one ``--trace 1`` run per side on SEED.  The report is
+written to BENCH_NAME.json in the change checkout.
 
 The JSON written holds, per workload and end-to-end metric, both sides'
 median, quartiles, min, max and every run, the number of pairs the change
@@ -26,19 +27,16 @@ import statistics
 import subprocess
 import sys
 
+PAIRS = 10
+TRACED = ("sbm_rate",)
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1001)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated; default: every BENCHMARK.json workload")
-    parser.add_argument("--trace", default="sbm_rate",
-                        help="comma-separated workloads to trace once per side")
-    parser.add_argument("--out", type=Path, default=None)
     return parser.parse_args(argv)
 
 
@@ -81,21 +79,19 @@ def compare(parent_runs, change_runs, better):
 
 def main(argv=None):
     args = parse_args(argv)
-    if args.pairs < 2:
-        raise SystemExit("need at least 2 pairs for quartiles")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seeds = [args.seed + i for i in range(PAIRS)]
     runs = {w: {side: [] for side in sides} for w in workloads}
     envs = {}
     for w in workloads:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                envs[side], result = run(sides[side], w, seed, args.seconds, 0)
+                envs[side], result = run(sides[side], w, seed, seconds, 0)
                 runs[w][side].append(result)
                 print(f"{w} seed {seed} {side}: "
                       f"{result['metrics']['op_s_p50']['value']:.3f} s",
@@ -119,17 +115,17 @@ def main(argv=None):
             for name in better}
 
     traces = {}
-    for w in filter(None, args.trace.split(",")):
+    for w in TRACED:
         traces[w] = {}
         for side in sides:
-            _, result = run(sides[side], w, args.seed, args.seconds, 1)
+            _, result = run(sides[side], w, args.seed, seconds, 1)
             traces[w][side] = {name: m["value"] for name, m in result["metrics"].items()}
 
-    out = args.out or sides["change"] / f"BENCH_{args.label}.json"
+    out = sides["change"] / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "settings": {"pairs": args.pairs, "seeds": seeds, "seconds": args.seconds,
+        "settings": {"pairs": PAIRS, "seeds": seeds, "seconds": seconds,
                      "order": "parent first on even pairs, change first on odd"},
         "env": {side: {key: envs[side][key]
                        for key in ("nproc", "python", "numpy", "blas", "threads")}
