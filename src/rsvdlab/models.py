@@ -56,6 +56,29 @@ class MissingPcaInstance:
     lam: np.ndarray      # eigenvalues of B B^T
 
 
+def _uniform_rows(gen, rows, cols):
+    """Yield (row slice, uniforms) over one (rows, cols) uniform draw, taken
+    _ROW_BLOCK rows at a time into a reused buffer."""
+    buf = np.empty((min(_ROW_BLOCK, rows), cols))
+    for r0 in range(0, rows, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, rows)
+        draw = buf[:r1 - r0]
+        gen.random(out=draw)
+        yield slice(r0, r1), draw
+
+
+def _mirror_upper(out):
+    """Copy the upper triangle of a square matrix onto its lower one, tile by
+    tile."""
+    for rows, cols in _upper_tiles(out.shape[0]):
+        if rows == cols:
+            tile = out[rows, rows]
+            np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+        else:
+            out[cols, rows] = out[rows, cols].T
+    return out
+
+
 def symmetric_bernoulli(n, prob, gen):
     """Symmetric 0/1 matrix with independent Bernoulli upper triangle.
 
@@ -66,27 +89,21 @@ def symmetric_bernoulli(n, prob, gen):
     """
     core, labels = prob if isinstance(prob, tuple) else (np.broadcast_to(prob, (n, n)), None)
     out = np.empty((n, n))
-    buf = np.empty((min(_ROW_BLOCK, n), n))
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
-        draw = buf[:r1 - r0]
-        gen.random(out=draw)
-        block = core[r0:r1, r0:] if labels is None else core[labels[r0:r1]][:, labels[r0:]]
-        np.less(draw[:, r0:], block, out=out[r0:r1, r0:])
-    for rows, cols in _upper_tiles(n):
-        if rows == cols:
-            tile = out[rows, rows]
-            np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
-        else:
-            out[cols, rows] = out[rows, cols].T
-    return out
+    for rows, draw in _uniform_rows(gen, n, n):
+        r0 = rows.start
+        block = core[rows, r0:] if labels is None else core[labels[rows]][:, labels[r0:]]
+        np.less(draw[:, r0:], block, out=out[rows, r0:])
+    return _mirror_upper(out)
 
 
 def symmetric_gaussian(n, sd, gen):
     """Symmetric matrix with iid N(0, sd^2) upper triangle (diagonal
-    included) of one (n, n) draw; the draw's lower triangle is discarded."""
-    full = sd * standard_normal(gen, (n, n))
-    return np.triu(full) + np.triu(full, 1).T
+    included) of one (n, n) draw; the draw's lower triangle is discarded.
+    Zeros are +0.0, also where sd * z is -0.0."""
+    out = standard_normal(gen, (n, n))
+    out *= sd
+    out += 0.0   # -0.0 + 0.0 is +0.0; every other value is unchanged
+    return _mirror_upper(out)
 
 
 def _block_eigenpairs(labels, core, n_blocks):
@@ -206,9 +223,14 @@ def gen_missing_pca(d, m, k, p, sigma, stream: RngStream) -> MissingPcaInstance:
     gen = stream.generator()
     b = standard_normal(gen, (d, k))
     f = standard_normal(gen, (k, m))
-    noise = sigma * standard_normal(gen, (d, m)) if sigma > 0 else np.zeros((d, m))
-    omega = (gen.random((d, m)) < p).astype(np.float64)
-    x_obs = omega * (b @ f + noise)
+    if sigma > 0:
+        x_obs = standard_normal(gen, (d, m))
+        x_obs *= sigma
+    else:
+        x_obs = np.zeros((d, m))
+    x_obs += b @ f
+    for rows, draw in _uniform_rows(gen, d, m):
+        np.multiply(x_obs[rows], draw < p, out=x_obs[rows])
     u, s, _ = svd_thin(b)
     return MissingPcaInstance(
         x_obs=x_obs, b=b, f=f, p=float(p), sigma=float(sigma),

@@ -6,10 +6,14 @@ reproduces the same draws regardless of call order, thread count, or how
 many times it is reused.  Independent sub-streams are derived by hashing
 a label into a new stream_id.
 
-Normal variates are produced by applying the inverse normal CDF to
-midpoint uniforms from the Philox counter-based generator.  The method is
-fixed for this build; bit-identical output across *different* builds is
-not promised, only within-build determinism.
+Normal variates are produced by applying the inverse normal CDF (Wichura's
+PPND16) to midpoint uniforms from the Philox counter-based generator.  A
+draw of any shape is filled in _CHUNK-element pieces of its flat view: each
+piece takes the next uniforms of the stream and transforms them on their
+own, so the values and the generator's next draw are those of one
+whole-array transform, and no temporary larger than a piece is built.  The
+method is fixed for this build; bit-identical output across *different*
+builds is not promised, only within-build determinism.
 """
 
 from dataclasses import dataclass
@@ -20,6 +24,7 @@ import numpy as np
 from .stats import inv_norm_cdf
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 14   # elements transformed at a time by standard_normal
 
 
 def stable_hash64(*parts) -> int:
@@ -54,13 +59,23 @@ class RngStream:
 
 def uniform_open(gen: np.random.Generator, shape):
     """Uniforms strictly inside (0, 1): midpoints of a 2^53 grid."""
-    k = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return (k + 0.5) * 2.0 ** -53
+    u = gen.integers(0, 1 << 53, size=shape, dtype=np.int64) + 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 def standard_normal(gen: np.random.Generator, shape):
-    """Standard normal draws via the inverse-CDF transform."""
-    return inv_norm_cdf(uniform_open(gen, shape))
+    """Standard normal draws via the inverse-CDF transform, _CHUNK at a time.
+
+    Each uniform takes one 64-bit word of the stream whatever the chunk, so
+    the draws equal those of one whole-array transform.
+    """
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for i in range(0, flat.size, _CHUNK):
+        piece = flat[i:i + _CHUNK]
+        piece[...] = inv_norm_cdf(uniform_open(gen, piece.size))
+    return out
 
 
 def gaussian_matrix(rows: int, cols: int, stream: RngStream) -> np.ndarray:

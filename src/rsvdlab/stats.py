@@ -73,47 +73,52 @@ _F = (
 
 
 def _poly(coeffs, x):
+    """Horner's rule, highest coefficient first, in one output array."""
     out = np.full_like(x, coeffs[-1], dtype=np.float64)
     for c in coeffs[-2::-1]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 
 def inv_norm_cdf(p):
     """Standard normal quantile function (vectorized).
 
-    ``p`` may be a scalar or an array with entries in (0, 1); 0 and 1 map
-    to -inf/+inf.
+    ``p`` may be a scalar or an array with entries in [0, 1]; 0 and 1 map
+    to -inf/+inf, and NaN is rejected like any other value outside.  The
+    central formula is evaluated on every entry, in place, and the tail
+    formula then overwrites the tail entries only; each entry's value is
+    that of its own branch alone.
     """
     p = np.asarray(p, dtype=np.float64)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
     q = p - 0.5
-    out = np.empty_like(p)
+    r = 0.180625 - q * q
+    # outside the central range the denominator may vanish; those entries
+    # are replaced below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _poly(_A, r)
+        out *= q
+        out /= _poly(_B, r)
 
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _poly(_A, r) / _poly(_B, r)
-
-    tails = ~central
-    if np.any(tails):
-        qt = q[tails]
-        r = np.where(qt < 0.0, p[tails], 1.0 - p[tails])
-        with np.errstate(divide="ignore"):
-            r = np.sqrt(-np.log(r))
-        val = np.empty_like(r)
-        near = r <= 5.0
-        rn = r[near] - 1.6
-        val[near] = _poly(_C, rn) / _poly(_D, rn)
-        far = ~near
-        rf = r[far] - 5.0
-        with np.errstate(invalid="ignore"):
-            val[far] = _poly(_E, rf) / _poly(_F, rf)
-        val[np.isinf(r)] = np.inf
-        out[tails] = np.where(qt < 0.0, -val, val)
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    qt = q[tails]
+    r = np.where(qt < 0.0, p[tails], 1.0 - p[tails])
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(-np.log(r))
+    val = np.empty_like(r)
+    near = r <= 5.0
+    rn = r[near] - 1.6
+    val[near] = _poly(_C, rn) / _poly(_D, rn)
+    far = ~near
+    rf = r[far] - 5.0
+    with np.errstate(invalid="ignore"):
+        val[far] = _poly(_E, rf) / _poly(_F, rf)
+    val[np.isinf(r)] = np.inf
+    out[tails] = np.where(qt < 0.0, -val, val)
 
     return float(out[0]) if scalar else out
 

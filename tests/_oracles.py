@@ -4,10 +4,12 @@ These deliberately avoid the library's own code paths: a cyclic Jacobi
 eigensolver, a naive multi-pass repeated sketch, the blockmodel CLT
 covariance one row at a time, a dense grid search over 2x2 orthogonal
 alignments, and the dense whole-matrix forms of the passes that the
-package streams in tiles and row blocks.
+package streams in tiles, row blocks and chunks.
 """
 
 import numpy as np
+
+from rsvdlab.stats import _A, _B, _C, _D, _E, _F
 
 
 def jacobi_eigenvalues(s, max_sweeps=60, tol=1e-15):
@@ -109,3 +111,66 @@ def eager_p_mat(core, tau):
     """n x n blockmodel edge probabilities core[tau_i, tau_j]."""
     k = core.shape[0]
     return np.take(core, tau[:, None] * k + tau[None, :])
+
+
+def _alloc_poly(coeffs, x):
+    out = np.full_like(x, coeffs[-1], dtype=np.float64)
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
+
+
+def dense_inv_norm_cdf(p):
+    """PPND16 over the whole array: boolean masks select the central and
+    tail entries, and every Horner step makes a fresh array."""
+    p = np.asarray(p, dtype=np.float64)
+    scalar = p.ndim == 0
+    p = np.atleast_1d(p)
+    q = p - 0.5
+    out = np.empty_like(p)
+
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] ** 2
+        out[central] = q[central] * _alloc_poly(_A, r) / _alloc_poly(_B, r)
+
+    tails = ~central
+    if np.any(tails):
+        qt = q[tails]
+        r = np.where(qt < 0.0, p[tails], 1.0 - p[tails])
+        with np.errstate(divide="ignore"):
+            r = np.sqrt(-np.log(r))
+        val = np.empty_like(r)
+        near = r <= 5.0
+        rn = r[near] - 1.6
+        val[near] = _alloc_poly(_C, rn) / _alloc_poly(_D, rn)
+        far = ~near
+        rf = r[far] - 5.0
+        with np.errstate(invalid="ignore"):
+            val[far] = _alloc_poly(_E, rf) / _alloc_poly(_F, rf)
+        val[np.isinf(r)] = np.inf
+        out[tails] = np.where(qt < 0.0, -val, val)
+
+    return float(out[0]) if scalar else out
+
+
+def dense_standard_normal(gen, shape):
+    """Normals from one whole-array uniform draw and one transform."""
+    k = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
+    return dense_inv_norm_cdf((k + 0.5) * 2.0 ** -53)
+
+
+def dense_symmetric_gaussian(n, sd, gen):
+    """Upper triangle of sd times one (n, n) normal draw, mirrored by adding
+    its transposed strict upper part."""
+    full = sd * dense_standard_normal(gen, (n, n))
+    return np.triu(full) + np.triu(full, 1).T
+
+
+def dense_missing_pca_obs(d, m, k, p, sigma, gen):
+    """Omega o (B F + N) from whole-array draws of B, F, N and the mask."""
+    b = dense_standard_normal(gen, (d, k))
+    f = dense_standard_normal(gen, (k, m))
+    noise = sigma * dense_standard_normal(gen, (d, m)) if sigma > 0 else np.zeros((d, m))
+    omega = (gen.random((d, m)) < p).astype(np.float64)
+    return omega * (b @ f + noise)

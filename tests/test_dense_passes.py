@@ -1,7 +1,9 @@
-"""The n x n passes around the power chain, streamed in tiles and row
-blocks, against the dense whole-matrix forms they replace: same floats,
-same draws, and no n x n temporary besides the output."""
+"""The n x n passes around the power chain and the normal draws, streamed
+in tiles, row blocks and chunks, against the dense whole-matrix forms they
+replace: same floats (signs of zero included), same draws, and no
+temporary of the output's size besides the output."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,11 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsvdlab.linalg import _TILE, symmetry_defect
-from rsvdlab.models import gen_sbm, symmetric_bernoulli
-from rsvdlab.rng import RngStream
+from rsvdlab.models import gen_missing_pca, gen_sbm, symmetric_bernoulli, symmetric_gaussian
+from rsvdlab.rng import _CHUNK, RngStream, standard_normal
 from rsvdlab.sketch import _check_symmetric
+from rsvdlab.stats import inv_norm_cdf
 
-from _oracles import dense_symmetric_bernoulli, dense_symmetry_defect, eager_p_mat
+from _oracles import (dense_inv_norm_cdf, dense_missing_pca_obs, dense_standard_normal,
+                      dense_symmetric_bernoulli, dense_symmetric_gaussian,
+                      dense_symmetry_defect, eager_p_mat)
 
 B0 = np.array([[0.8, 0.3], [0.3, 0.8]])
 # past three tiles, and not a multiple of the tile
@@ -99,6 +104,76 @@ def test_gen_sbm_matches_dense_path(n, rho):
     assert np.array_equal(inst.a, dense_symmetric_bernoulli(n, p_mat, gen))
 
 
+def _same_bits(a, b):
+    """Equal values, shapes and signs of zero."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _philox_pair(seed):
+    return (np.random.Generator(np.random.Philox(seed)),
+            np.random.Generator(np.random.Philox(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, (129, 127), 3 * _CHUNK + 5,
+                              (0,), (0, 4), (5, 0), (2, 3, 4)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_standard_normal_equals_dense_oracle(shape, seed):
+    gen, ref_gen = _philox_pair(seed)
+    z = standard_normal(gen, shape)
+    assert _same_bits(z, dense_standard_normal(ref_gen, shape))
+    assert z.dtype == np.float64 and z.flags.c_contiguous
+    assert gen.random() == ref_gen.random()
+
+
+def _ulps(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+
+
+# the central/tail boundary |p - 0.5| = 0.425 from both sides, the centre,
+# the ends, and deep tails where r = sqrt(-log p) > 5
+EDGE_P = (_ulps(0.075) + _ulps(0.925) + [0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53]
+          + [0.0, 1.0, 5e-324, 1e-300, 1e-20, 1e-12, 9.9e-12, 1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("p", EDGE_P)
+def test_inv_norm_cdf_equals_dense_oracle_on_scalars(p):
+    z = inv_norm_cdf(p)
+    ref = dense_inv_norm_cdf(p)
+    assert type(z) is float
+    assert z == ref and math.copysign(1.0, z) == math.copysign(1.0, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ps=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_P),
+                             st.floats(0.0, 1e-11)), max_size=64))
+def test_inv_norm_cdf_equals_dense_oracle_on_arrays(ps):
+    p = np.array(ps, dtype=np.float64)
+    assert _same_bits(inv_norm_cdf(p), dense_inv_norm_cdf(p))
+
+
+@pytest.mark.parametrize("sd", [1.0, 0.0, 3.5, 1e-320])
+@pytest.mark.parametrize("n", [1, _TILE + 3, N_MAX])
+def test_symmetric_gaussian_equals_dense_oracle(n, sd):
+    # sd = 0 and a subnormal sd give sd * z = -0.0, which both forms turn to +0.0
+    gen, ref_gen = np.random.default_rng(n), np.random.default_rng(n)
+    a = symmetric_gaussian(n, sd, gen)
+    assert _same_bits(a, dense_symmetric_gaussian(n, sd, ref_gen))
+    assert not np.any(np.signbit(a) & (a == 0.0))
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.0, 1e-320])
+@pytest.mark.parametrize("d,m,p", [(1, 7, 0.5), (130, 97, 0.3), (65, 300, 1.0)])
+def test_gen_missing_pca_equals_dense_oracle(d, m, p, sigma):
+    stream = RngStream(63, d)
+    inst = gen_missing_pca(d, m, 1, p, sigma, stream)
+    ref_gen = stream.generator()
+    # masked negative entries are -0.0 in both forms
+    assert _same_bits(inst.x_obs, dense_missing_pca_obs(d, m, 1, p, sigma, ref_gen))
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -125,3 +200,27 @@ def test_check_symmetric_allocates_no_n_by_n_temporary():
     assert peak <= 0.1 * FULL, (
         f"sketch._check_symmetric peak {peak / 2**20:.2f} MiB exceeds 0.1 x "
         f"the {FULL / 2**20:.0f} MiB input")
+
+
+def test_standard_normal_allocates_only_its_output():
+    peak = _traced_peak(standard_normal, np.random.default_rng(0), (N_MEM, N_MEM))
+    assert peak <= 1.25 * FULL, (
+        f"rng.standard_normal peak {peak / 2**20:.1f} MiB exceeds 1.25 x the "
+        f"{FULL / 2**20:.0f} MiB output")
+
+
+def test_symmetric_gaussian_allocates_only_its_output():
+    peak = _traced_peak(symmetric_gaussian, N_MEM, 2.0, np.random.default_rng(1))
+    assert peak <= 1.25 * FULL, (
+        f"models.symmetric_gaussian peak {peak / 2**20:.1f} MiB exceeds 1.25 x "
+        f"the {FULL / 2**20:.0f} MiB output")
+
+
+def test_gen_missing_pca_holds_output_and_signal():
+    # x_obs plus the d x m product B F, which is added to it in one step
+    d, m = N_MEM, 2 * N_MEM
+    data = 8 * d * m
+    peak = _traced_peak(gen_missing_pca, d, m, 4, 0.3, 1.0, RngStream(64, 0))
+    assert peak <= 2.1 * data, (
+        f"models.gen_missing_pca peak {peak / 2**20:.1f} MiB exceeds 2.1 x the "
+        f"{data / 2**20:.0f} MiB d x m output")

@@ -30,6 +30,17 @@ def test_inv_norm_cdf_rejects_out_of_range():
         inv_norm_cdf(1.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, [0.2, math.nan]])
+def test_inv_norm_cdf_rejects_nan(p):
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+        inv_norm_cdf(p)
+
+
+def test_chi2_quantile_rejects_nan():
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+        chi2_quantile(3, math.nan)
+
+
 @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 40])
 @pytest.mark.parametrize("q", [0.01, 0.5, 0.9, 0.95, 0.99, 0.999])
 def test_chi2_quantile_matches_scipy(df, q):

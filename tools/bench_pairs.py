@@ -8,7 +8,7 @@ DIR is a checkout of each side (for example made with ``git clone`` and
 i of 10 runs ``perfbench/run.py --seed SEED+i`` once in each checkout for
 the ``run_seconds`` that file sets, the parent first on even i and the
 change first on odd i, so drift on the machine falls on both sides alike.
-sbm_rate also gets one ``--trace 1`` run per side on SEED.  The report is
+Every workload also gets one ``--trace 1`` run per side on SEED.  The report is
 written to BENCH_NAME.json in the change checkout.
 
 The JSON written holds, per workload and end-to-end metric, both sides'
@@ -28,7 +28,6 @@ import subprocess
 import sys
 
 PAIRS = 10
-TRACED = ("sbm_rate",)
 
 
 def parse_args(argv):
@@ -115,7 +114,7 @@ def main(argv=None):
             for name in better}
 
     traces = {}
-    for w in TRACED:
+    for w in workloads:
         traces[w] = {}
         for side in sides:
             _, result = run(sides[side], w, args.seed, seconds, 1)
