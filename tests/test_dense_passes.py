@@ -110,17 +110,12 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def _philox_pair(seed):
-    return (np.random.Generator(np.random.Philox(seed)),
-            np.random.Generator(np.random.Philox(seed)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, (129, 127), 3 * _CHUNK + 5,
                               (0,), (0, 4), (5, 0), (2, 3, 4)]),
        seed=st.integers(0, 2**32 - 1))
 def test_standard_normal_equals_dense_oracle(shape, seed):
-    gen, ref_gen = _philox_pair(seed)
+    gen, ref_gen = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
     z = standard_normal(gen, shape)
     assert _same_bits(z, dense_standard_normal(ref_gen, shape))
     assert z.dtype == np.float64 and z.flags.c_contiguous
