@@ -22,7 +22,7 @@ from .sketch import (
     rs_rsvd_sym,
     rs_rsvd_sym_chain,
 )
-from .subspace import AlignmentResult, d2, d2_inf, procrustes_align, sin_theta_norm
+from .subspace import AlignmentResult, procrustes_align
 from .models import (
     CompletionInstance,
     MissingPcaInstance,

@@ -1,18 +1,40 @@
 """Matrix Market reader and writer for dense matrices, plus a CSV writer.
 
 The reader accepts the ``array`` and ``coordinate`` formats with
-``general`` or ``symmetric`` symmetry, real or integer fields; the writer
-emits ``array real general``.  Values are written with 17 significant
-digits so write/read round-trips are exact.
+``general`` or ``symmetric`` symmetry, real or integer fields (Boisvert,
+Pozo & Remington, "The Matrix Market Exchange Formats", NIST 1996).  It
+reads the file once, parses the header and the size line in Python and
+hands the rest to one ``np.loadtxt`` call, whose C parser rounds correctly
+and skips blank lines and ``%`` comments: one float64 column for array
+files, (int64, int64, float64) records for coordinate files.  Coordinate
+entries are placed with one scatter that keeps the last write to each
+position in file order, a symmetric entry's mirror written right after
+it; indices outside 1..rows and 1..cols are rejected.
+
+The writer emits ``array real general``.  Values are written with 17
+significant digits so write/read round-trips are exact; each chunk of
+``_CHUNK`` values is formatted by one ``%`` operation.
 """
 
 from pathlib import Path
+import io
+import re
 
 import numpy as np
 
 from .linalg import as_matrix
 
 _HEADER_PREFIX = "%%MatrixMarket"
+
+# values formatted per string operation by the writer
+_CHUNK = 65536
+
+# one line of an array file, and of a coordinate file
+_VALUE = np.dtype(np.float64)
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+# a line that is neither blank nor a comment
+_DATA_LINE = re.compile(r"^[^\S\n]*[^%\s].*$", re.MULTILINE)
 
 
 def _fmt(x: float) -> str:
@@ -23,22 +45,69 @@ def write_matrix_market(path, a):
     """Write a dense matrix in Matrix Market array format (column-major)."""
     a = as_matrix(a, "matrix")
     rows, cols = a.shape
-    lines = [f"{_HEADER_PREFIX} matrix array real general", f"{rows} {cols}"]
-    for j in range(cols):
-        for i in range(rows):
-            lines.append(_fmt(a[i, j]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flat = a.T.ravel()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{_HEADER_PREFIX} matrix array real general\n{rows} {cols}\n")
+        for start in range(0, flat.size, _CHUNK):
+            chunk = flat[start:start + _CHUNK].tolist()
+            f.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+
+
+def _load_body(text, pos, path, dtype, expected, noun):
+    """The data lines from offset ``pos`` on as ``dtype`` values, one per
+    line; raises unless there are exactly ``expected`` of them."""
+    if _DATA_LINE.search(text, pos) is None:
+        # np.loadtxt warns on input without data
+        data = np.empty(0, dtype=dtype)
+    else:
+        try:
+            # for plain values, ndmin=2 tells one line of several values
+            # from several lines of one
+            data = np.loadtxt(io.StringIO(text[pos:]), dtype=dtype, comments="%",
+                              ndmin=1 if dtype.names else 2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if data.ndim == 2:
+            if data.shape[1] != 1:
+                raise ValueError(f"{path}: expected one value per line, "
+                                 f"found {data.shape[1]}")
+            data = data[:, 0]
+    if data.size != expected:
+        raise ValueError(f"{path}: expected {expected} {noun}, found {data.size}")
+    return data
+
+
+def _check_index(idx, bound, path, name):
+    bad = (idx < 1) | (idx > bound)
+    if bad.any():
+        raise ValueError(f"{path}: {name} index {int(idx[bad.argmax()])} "
+                         f"outside 1..{bound}")
+
+
+def _scatter_last(shape, lin, vals):
+    """Dense matrix with vals[t] at flat position lin[t]; where a position
+    repeats, the last write in order wins."""
+    # np.unique on the reversed positions keeps each one's first occurrence
+    # there, i.e. its last write here
+    _, first = np.unique(lin[::-1], return_index=True)
+    last = lin.size - 1 - first
+    out = np.zeros(shape, dtype=np.float64)
+    out.ravel()[lin[last]] = vals[last]
+    return out, vals[last]
 
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense float64 matrix."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
+    header_end = text.find("\n")
+    if header_end < 0:
+        header_end = len(text)
+    header_line = text[:header_end]
+    if not header_line.startswith(_HEADER_PREFIX):
         raise ValueError(f"{path}: missing MatrixMarket header")
-    header = lines[0].split()
+    header = header_line.split()
     if len(header) != 5 or header[1].lower() != "matrix":
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
+        raise ValueError(f"{path}: malformed header {header_line!r}")
     layout, field, symmetry = (w.lower() for w in header[2:5])
     if layout not in ("array", "coordinate"):
         raise ValueError(f"{path}: unsupported layout {layout!r}")
@@ -47,49 +116,47 @@ def read_matrix_market(path) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"{path}: unsupported symmetry {symmetry!r}")
 
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
+    size_line = _DATA_LINE.search(text, header_end)
+    if size_line is None:
         raise ValueError(f"{path}: no size line")
-    size = body[0].split()
-    data = body[1:]
+    size, pos = size_line.group().split(), size_line.end()
+    n_fields = 2 if layout == "array" else 3
+    if len(size) != n_fields:
+        raise ValueError(f"{path}: {layout} size line must have {n_fields} fields")
+    try:
+        rows, cols, *nnz = (int(s) for s in size)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed size line {' '.join(size)!r}") from exc
+    if rows < 0 or cols < 0 or (nnz and nnz[0] < 0):
+        raise ValueError(f"{path}: negative size in {' '.join(size)!r}")
+    if symmetry == "symmetric" and rows != cols:
+        raise ValueError(f"{path}: symmetric matrix must be square, got {rows}x{cols}")
 
     if layout == "array":
-        if len(size) != 2:
-            raise ValueError(f"{path}: array size line must have 2 fields")
-        rows, cols = int(size[0]), int(size[1])
-        if symmetry == "symmetric":
-            expected = rows * (rows + 1) // 2
-        else:
-            expected = rows * cols
-        if len(data) != expected:
-            raise ValueError(f"{path}: expected {expected} values, found {len(data)}")
-        vals = np.array([float(v) for v in data], dtype=np.float64)
-        out = np.empty((rows, cols), dtype=np.float64)
+        expected = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
+        vals = _load_body(text, pos, path, _VALUE, expected, "values")
         if symmetry == "general":
             out = vals.reshape((cols, rows)).T.copy()
         else:
-            pos = 0
+            out = np.empty((rows, cols), dtype=np.float64)
+            start = 0
             for j in range(cols):
-                block = vals[pos:pos + rows - j]
+                block = vals[start:start + rows - j]
                 out[j:, j] = block
                 out[j, j:] = block
-                pos += rows - j
+                start += rows - j
     else:
-        if len(size) != 3:
-            raise ValueError(f"{path}: coordinate size line must have 3 fields")
-        rows, cols, nnz = int(size[0]), int(size[1]), int(size[2])
-        if len(data) != nnz:
-            raise ValueError(f"{path}: expected {nnz} entries, found {len(data)}")
-        out = np.zeros((rows, cols), dtype=np.float64)
-        for ln in data:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: malformed coordinate line {ln!r}")
-            i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
-            out[i, j] = v
-            if symmetry == "symmetric" and i != j:
-                out[j, i] = v
-    if not np.isfinite(out).all():
+        entries = _load_body(text, pos, path, _ENTRY, nnz[0], "entries")
+        i, j, vals = entries["i"], entries["j"], entries["v"]
+        _check_index(i, rows, path, "row")
+        _check_index(j, cols, path, "column")
+        i, j = i - 1, j - 1
+        if symmetry == "symmetric":
+            # each entry's write, then its mirror's, in file order
+            i, j = np.stack([i, j], axis=1).ravel(), np.stack([j, i], axis=1).ravel()
+            vals = np.repeat(vals, 2)
+        out, vals = _scatter_last((rows, cols), i * cols + j, vals)
+    if not np.isfinite(vals).all():
         raise ValueError(f"{path}: matrix contains non-finite entries")
     return out
 

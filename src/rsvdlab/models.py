@@ -204,8 +204,11 @@ def gen_completion(n, k, signal_scale, p, sigma, homogeneous, stream: RngStream)
         t = (t + t.T) / 2.0
         u = basis
     omega = symmetric_bernoulli(n, p, gen)
-    noise = symmetric_gaussian(n, sigma, gen) if sigma > 0 else np.zeros((n, n))
-    t_hat = omega * (t + noise)
+    # omega * (t + noise), built in the noise's array: IEEE addition and
+    # multiplication commute bit for bit
+    t_hat = symmetric_gaussian(n, sigma, gen) if sigma > 0 else np.zeros((n, n))
+    t_hat += t
+    t_hat *= omega
     return CompletionInstance(
         t=t, t_hat=t_hat, omega=omega, p=float(p), sigma=float(sigma),
         u=u[:, :k], lam=lam[:k],

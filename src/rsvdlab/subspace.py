@@ -40,21 +40,3 @@ def procrustes_align(u1, u2) -> AlignmentResult:
         residual_two_inf=float(np.sqrt(np.max(np.sum(diff * diff, axis=1)))),
     )
 
-
-def d2(u1, u2) -> float:
-    """Spectral-norm residual after Frobenius-Procrustes alignment."""
-    return procrustes_align(u1, u2).residual_spectral
-
-
-def d2_inf(u1, u2) -> float:
-    """Max-row-norm residual after Frobenius-Procrustes alignment."""
-    return procrustes_align(u1, u2).residual_two_inf
-
-
-def sin_theta_norm(u1, u2) -> float:
-    """||sin Theta(u1, u2)|| = sqrt(1 - sigma_min(u1^T u2)^2)."""
-    u1, u2 = _check_pair(u1, u2)
-    s = np.linalg.svd(u1.T @ u2, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
-    return float(np.sqrt(max(0.0, 1.0 - float(np.min(s)) ** 2)))
-

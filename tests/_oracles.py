@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths: a cyclic Jacobi
 eigensolver, a naive multi-pass repeated sketch, the blockmodel CLT
 covariance one row at a time, a dense grid search over 2x2 orthogonal
-alignments, and the dense whole-matrix forms of the passes that the
-package streams in tiles, row blocks and chunks.
+alignments, the sin-theta distance from principal angles, the dense
+whole-matrix forms of the passes that the package streams in tiles, row
+blocks and chunks, and the line-by-line Matrix Market reader and
+value-by-value writer that the package's vectorized ones replace.
 """
 
 import numpy as np
@@ -95,6 +97,12 @@ def grid_min_spectral_residual(u1, u2, samples=5000):
     return best
 
 
+def sin_theta_norm(u1, u2):
+    """||sin Theta(u1, u2)|| = sqrt(1 - sigma_min(u1^T u2)^2)."""
+    s = np.clip(np.linalg.svd(u1.T @ u2, compute_uv=False), 0.0, 1.0)
+    return float(np.sqrt(max(0.0, 1.0 - float(np.min(s)) ** 2)))
+
+
 def dense_symmetry_defect(a):
     """max |A - A^T| from one n x n difference."""
     return float(np.max(np.abs(a - a.T)))
@@ -174,3 +182,70 @@ def dense_missing_pca_obs(d, m, k, p, sigma, gen):
     noise = sigma * dense_standard_normal(gen, (d, m)) if sigma > 0 else np.zeros((d, m))
     omega = (gen.random((d, m)) < p).astype(np.float64)
     return omega * (b @ f + noise)
+
+
+def line_loop_read_matrix_market(path):
+    """Matrix Market file to a dense float64 matrix, one Python operation
+    per line: float() per array value, int()/float() and an indexed store
+    (then its mirror, for symmetric files) per coordinate entry."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("%%MatrixMarket"):
+        raise ValueError(f"{path}: missing MatrixMarket header")
+    header = lines[0].split()
+    if len(header) != 5 or header[1].lower() != "matrix":
+        raise ValueError(f"{path}: malformed header {lines[0]!r}")
+    layout, field, symmetry = (w.lower() for w in header[2:5])
+    if layout not in ("array", "coordinate") or field not in ("real", "integer") \
+            or symmetry not in ("general", "symmetric"):
+        raise ValueError(f"{path}: unsupported header {lines[0]!r}")
+
+    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
+    if not body:
+        raise ValueError(f"{path}: no size line")
+    size = body[0].split()
+    data = body[1:]
+
+    if layout == "array":
+        rows, cols = int(size[0]), int(size[1])
+        expected = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
+        if len(data) != expected:
+            raise ValueError(f"{path}: expected {expected} values, found {len(data)}")
+        vals = np.array([float(v) for v in data], dtype=np.float64)
+        out = np.empty((rows, cols), dtype=np.float64)
+        if symmetry == "general":
+            out = vals.reshape((cols, rows)).T.copy()
+        else:
+            pos = 0
+            for j in range(cols):
+                block = vals[pos:pos + rows - j]
+                out[j:, j] = block
+                out[j, j:] = block
+                pos += rows - j
+    else:
+        rows, cols, nnz = int(size[0]), int(size[1]), int(size[2])
+        if len(data) != nnz:
+            raise ValueError(f"{path}: expected {nnz} entries, found {len(data)}")
+        out = np.zeros((rows, cols), dtype=np.float64)
+        for ln in data:
+            parts = ln.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}: malformed coordinate line {ln!r}")
+            i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
+            out[i, j] = v
+            if symmetry == "symmetric" and i != j:
+                out[j, i] = v
+    if not np.isfinite(out).all():
+        raise ValueError(f"{path}: matrix contains non-finite entries")
+    return out
+
+
+def line_loop_write_matrix_market(path, a):
+    """Dense matrix to Matrix Market array format, column-major, with one
+    format(x, '.17g') per value joined into one string."""
+    rows, cols = a.shape
+    lines = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
+    for j in range(cols):
+        for i in range(rows):
+            lines.append(format(float(a[i, j]), ".17g"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -21,7 +21,7 @@ from rsvdlab.linalg import qr_thin
 from rsvdlab.models import gen_completion, symmetric_bernoulli, symmetric_gaussian
 from rsvdlab.rng import RngStream, standard_normal
 from rsvdlab.sketch import SketchConfig, rs_rsvd_sym_chain
-from rsvdlab.subspace import d2, d2_inf
+from rsvdlab.subspace import procrustes_align
 from rsvdlab.theory import power_diff_expansion, vstar_oracle
 
 
@@ -60,8 +60,8 @@ def test_c1_pure_signal_exactness():
                                stream=stream.child("sketch", extra))
             outs = rs_rsvd_sym_chain(m, cfg, [1, 2, 3])
             for out in outs.values():
-                worst = max(worst, d2(out.u_hat_g, basis),
-                            d2_inf(out.u_hat_g, basis))
+                res = procrustes_align(out.u_hat_g, basis)
+                worst = max(worst, res.residual_spectral, res.residual_two_inf)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 30.0
     report("C1", ok,

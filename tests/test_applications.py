@@ -15,7 +15,7 @@ from rsvdlab.linalg import sym_eig
 from rsvdlab.models import gen_completion, gen_missing_pca, gen_sbm
 from rsvdlab.rng import RngStream
 from rsvdlab.sketch import SketchConfig
-from rsvdlab.subspace import d2
+from rsvdlab.subspace import procrustes_align
 from rsvdlab.theory import vstar_oracle
 
 
@@ -179,7 +179,7 @@ class TestMissingPca:
         inst = gen_missing_pca(100, 5000, 3, 1.0, 0.0, RngStream(902, 0))
         cfg = SketchConfig(k=3, k_tilde=8, a_n=3, g=3, stream=RngStream(903, 0))
         u = rsvd_missing_pca(inst.x_obs, 1.0, cfg)
-        assert d2(u, inst.u) <= 0.05
+        assert procrustes_align(u, inst.u).residual_spectral <= 0.05
 
     def test_large_g_converges_to_exact_eigenvectors(self):
         inst = gen_missing_pca(200, 2000, 2, 1.0, 0.0, RngStream(904, 0))
@@ -187,18 +187,19 @@ class TestMissingPca:
         u_exact = sym_eig(q).vectors[:, :2]
         cfg = SketchConfig(k=2, k_tilde=6, a_n=2, g=6, stream=RngStream(905, 0))
         u = rsvd_missing_pca(inst.x_obs, 1.0, cfg)
-        assert d2(u, u_exact) <= 1e-6
+        assert procrustes_align(u, u_exact).residual_spectral <= 1e-6
 
     def test_sparse_regime_parity_with_exact(self):
         inst = gen_missing_pca(700, 500, 4, 0.05, 1.0, RngStream(73, 4))
         q = missing_pca_gram(inst.x_obs, 0.05)
         u_exact = sym_eig(q).vectors[:, :4]
-        base = d2(u_exact, inst.u)
+        base = procrustes_align(u_exact, inst.u).residual_spectral
         from rsvdlab.sketch import rs_rsvd_sym_chain
         cfg = SketchConfig(k=4, k_tilde=14, a_n=7, g=3, stream=RngStream(73, 5))
         outs = rs_rsvd_sym_chain(q, cfg, [1, 3])
-        assert d2(outs[3].u_hat_g, inst.u) <= 1.5 * base
-        assert d2(outs[1].u_hat_g, inst.u) > d2(outs[3].u_hat_g, inst.u)
+        d2_g3 = procrustes_align(outs[3].u_hat_g, inst.u).residual_spectral
+        assert d2_g3 <= 1.5 * base
+        assert procrustes_align(outs[1].u_hat_g, inst.u).residual_spectral > d2_g3
 
     def test_gram_surrogate_shape(self):
         inst = gen_missing_pca(15, 40, 2, 0.5, 0.2, RngStream(73, 6))

@@ -104,6 +104,43 @@ class TestSvd:
                        "--out", str(tmp_path / "o")) == 2
 
 
+class TestExitCodes:
+    """0 for a good run, 2 for a malformed or out-of-range Matrix Market
+    input, 1 for an input whose rank is below k."""
+
+    HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+    def _svd(self, tmp_path, body, k=2):
+        path = tmp_path / "m.mtx"
+        path.write_text(self.HEADER + body)
+        return run_cli("svd", str(path), "--k", str(k), "--out", str(tmp_path / "out"))
+
+    def test_good_input_exits_0(self, tmp_path):
+        diag = [10.0, -5.0] + [0.01] * 38
+        entries = "".join(f"{i} {i} {v}\n" for i, v in enumerate(diag, 1))
+        assert self._svd(tmp_path, f"40 40 40\n{entries}") == 0
+        sigma = (tmp_path / "out" / "sigma.csv").read_text().splitlines()[1:]
+        assert [float(v) for v in sigma] == pytest.approx([10.0, 5.0], rel=1e-8)
+
+    @pytest.mark.parametrize("body", [
+        "40 40 1\n0 1 5.0\n",       # zero index, which once wrapped to row 40
+        "40 40 1\n41 1 5.0\n",      # past the last row, once an IndexError
+        "40 40 1\n1 41 5.0\n",
+        "40 40 1\n1 2\n",           # missing value
+        "40 40 2\n1 1 5.0\n",       # truncated
+        "40 40 1\n1 1 nan\n",
+        "40 40\n1 1 5.0\n",         # size line
+    ])
+    def test_malformed_or_out_of_range_input_exits_2(self, tmp_path, capsys, body):
+        assert self._svd(tmp_path, body) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "m.mtx") in err
+
+    def test_rank_deficient_input_exits_1(self, tmp_path, capsys):
+        assert self._svd(tmp_path, "40 40 1\n1 1 1.0\n", k=2) == 1
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 class TestCluster:
     def test_two_clique_graph(self, tmp_path):
         inst = gen_sbm(60, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
@@ -212,7 +249,7 @@ class TestPca:
         from rsvdlab.applications import missing_pca_gram
         from rsvdlab.linalg import sym_eig
         from rsvdlab.models import gen_missing_pca
-        from rsvdlab.subspace import d2
+        from rsvdlab.subspace import procrustes_align
 
         out = tmp_path / "out"
         code = run_cli("pca", "--gen", "pca:d=300,m=400,k=4,p=0.1,sigma=1.0",
@@ -224,7 +261,8 @@ class TestPca:
         q = missing_pca_gram(inst.x_obs, 0.1)
         u_exact = sym_eig(q).vectors[:, :4]
         u_cli = read_matrix_market(out / "U.mm")
-        assert d2(u_cli, inst.u) <= 1.5 * d2(u_exact, inst.u)
+        assert (procrustes_align(u_cli, inst.u).residual_spectral
+                <= 1.5 * procrustes_align(u_exact, inst.u).residual_spectral)
 
     def test_smoke_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsvdlab.linalg import _TILE, symmetry_defect
-from rsvdlab.models import gen_missing_pca, gen_sbm, symmetric_bernoulli, symmetric_gaussian
+from rsvdlab.models import (_homogeneous_core, gen_completion, gen_missing_pca, gen_sbm,
+                            symmetric_bernoulli, symmetric_gaussian)
 from rsvdlab.rng import _CHUNK, RngStream, standard_normal
 from rsvdlab.sketch import _check_symmetric
 from rsvdlab.stats import inv_norm_cdf
@@ -169,6 +170,25 @@ def test_gen_missing_pca_equals_dense_oracle(d, m, p, sigma):
     assert _same_bits(inst.x_obs, dense_missing_pca_obs(d, m, 1, p, sigma, ref_gen))
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_gen_completion_equals_eager_product(homogeneous, sigma):
+    n, k, p = 131, 3, 0.3
+    stream = RngStream(65, int(homogeneous))
+    inst = gen_completion(n, k, 2.0, p, sigma, homogeneous, stream)
+    # replay the draws before the mask, then the mask and the noise
+    gen = stream.generator()
+    if homogeneous:
+        gen.permutation(np.arange(n) % k)
+        _homogeneous_core(k, gen, 2.0)
+    else:
+        standard_normal(gen, (n, k))
+    assert np.array_equal(inst.omega, symmetric_bernoulli(n, p, gen))
+    noise = symmetric_gaussian(n, sigma, gen) if sigma > 0 else np.zeros((n, n))
+    # masked negative entries are -0.0 in both forms
+    assert _same_bits(inst.t_hat, inst.omega * (inst.t + noise))
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -219,3 +239,12 @@ def test_gen_missing_pca_holds_output_and_signal():
     assert peak <= 2.1 * data, (
         f"models.gen_missing_pca peak {peak / 2**20:.1f} MiB exceeds 2.1 x the "
         f"{data / 2**20:.0f} MiB d x m output")
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+def test_gen_completion_holds_signal_mask_and_observation(sigma):
+    # t, omega and t_hat; the noise is drawn into t_hat's array
+    peak = _traced_peak(gen_completion, N_MEM, 3, 1.0, 0.3, sigma, True, RngStream(65, 0))
+    assert peak <= 3.25 * FULL, (
+        f"models.gen_completion peak {peak / 2**20:.1f} MiB exceeds 3.25 x the "
+        f"{FULL / 2**20:.0f} MiB n x n matrix")

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rsvdlab.mmio import read_matrix_market, write_csv, write_matrix_market
+from rsvdlab.mmio import _CHUNK, read_matrix_market, write_csv, write_matrix_market
 from rsvdlab.rng import RngStream, gaussian_matrix
+
+from _oracles import line_loop_read_matrix_market, line_loop_write_matrix_market
 
 
 def test_array_roundtrip(tmp_path):
@@ -70,3 +73,248 @@ def test_csv_writer_format(tmp_path):
     header, row = text.strip().split("\n")
     assert header == "name,value"
     assert float(row.split(",")[1]) == value
+
+
+# --- the vectorized reader and writer against the line-loop ones they replace
+
+FILLERS = ("", "   ", "\t", "% comment", "  % indented comment", "%")
+
+
+def _same_matrix(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and a.flags.c_contiguous and b.flags.c_contiguous
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _float_text(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False)
+             | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                1.7976931348623157e308, 1e-300, -1e300]))
+    fmt = draw(st.sampled_from([repr, lambda v: format(v, ".17g"),
+                                lambda v: format(v, ".3e"), lambda v: format(v, "E"),
+                                lambda v: format(v, "+.25g")]))
+    text = fmt(x)
+    # a short form of a value near the largest double can round up past it
+    return text if np.isfinite(float(text)) else repr(x)
+
+
+def _int_text(draw):
+    return draw(st.sampled_from(["{}", "+{}", "0{}"])).format(
+        draw(st.integers(0, 10**20))) if draw(st.booleans()) else str(
+        draw(st.integers(-10**20, 10**20)))
+
+
+def _index_text(draw, bound):
+    return draw(st.sampled_from(["{}", "+{}", "0{}"])).format(draw(st.integers(1, bound)))
+
+
+@st.composite
+def mm_files(draw, layout=None):
+    """Text of a valid Matrix Market file with blank and comment lines,
+    spacing variants and, for coordinate files, duplicate positions and
+    upper-triangle entries in symmetric files."""
+    layout = layout or draw(st.sampled_from(["array", "coordinate"]))
+    field = draw(st.sampled_from(["real", "integer"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    rows = draw(st.integers(0 if layout == "coordinate" else 1, 7))
+    cols = rows if symmetry == "symmetric" else draw(st.integers(1, 7))
+    value = _float_text if field == "real" else _int_text
+    if layout == "array":
+        count = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
+        data = [value(draw) for _ in range(count)]
+        size = f"{rows} {cols}"
+    else:
+        count = draw(st.integers(0, 3 * rows * cols)) if rows else 0
+        # indices drawn from a small range, so positions repeat
+        data = [" ".join([_index_text(draw, rows), _index_text(draw, cols), value(draw)])
+                for _ in range(count)]
+        size = f"{rows} {cols} {count}"
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    lines = [f"%%MatrixMarket matrix {layout} {field} {symmetry}"]
+    lines += draw(st.lists(st.sampled_from(FILLERS), max_size=3))
+    lines.append(size)
+    for line in data:
+        lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+        lines.append(lead + line.replace(" ", sep) + trail)
+    lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mm_files())
+def test_reader_equals_line_loop_oracle(tmp_path, text):
+    path = tmp_path / "m.mtx"
+    path.write_text(text, encoding="utf-8")
+    assert _same_matrix(read_matrix_market(path), line_loop_read_matrix_market(path))
+
+
+def test_reader_equals_line_loop_oracle_on_wide_exponents(tmp_path):
+    gen = np.random.default_rng(11)
+    n = 200_000
+    vals = gen.standard_normal(n) * 10.0 ** gen.uniform(-300, 300, n)
+    vals[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
+    strings = [format(float(v), fmt) for v, fmt in zip(vals, np.resize([".17g", "", ".6e"], n))]
+    path = tmp_path / "wide.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n400 500\n"
+                    + "\n".join(strings) + "\n", encoding="utf-8")
+    assert _same_matrix(read_matrix_market(path), line_loop_read_matrix_market(path))
+
+
+def test_coordinate_scatter_keeps_last_write_in_file_order(tmp_path):
+    # (2, 1) then its upper-triangle twin (1, 2): the mirror of each write
+    # lands right after it, so the later line decides both positions
+    path = tmp_path / "dup.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "3 3 5\n2 1 7.0\n1 2 -1.5\n3 3 4.0\n3 3 -0.0\n1 3 2.0\n")
+    expected = np.array([[0.0, -1.5, 2.0], [-1.5, 0.0, 0.0], [2.0, 0.0, -0.0]])
+    a = read_matrix_market(path)
+    assert _same_matrix(a, expected)
+    assert _same_matrix(a, line_loop_read_matrix_market(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_writer_bytes_equal_value_loop_oracle(tmp_path_factory, shape, data):
+    a = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64)
+        | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))).reshape(shape)
+    folder = tmp_path_factory.mktemp("w")
+    write_matrix_market(folder / "new.mm", a)
+    line_loop_write_matrix_market(folder / "old.mm", a)
+    assert (folder / "new.mm").read_bytes() == (folder / "old.mm").read_bytes()
+
+
+def test_writer_bytes_equal_oracle_across_chunks(tmp_path):
+    # two whole chunks and a partial third; non-square, so column-major
+    # order is checked too
+    gen = np.random.default_rng(12)
+    a = gen.standard_normal((400, 401)) * 10.0 ** gen.uniform(-300, 300, (400, 401))
+    a[0, 0], a[-1, -1], a[5, 7] = -0.0, 5e-324, -1.7976931348623157e308
+    assert a.size > 2 * _CHUNK
+    write_matrix_market(tmp_path / "new.mm", a)
+    line_loop_write_matrix_market(tmp_path / "old.mm", a)
+    assert (tmp_path / "new.mm").read_bytes() == (tmp_path / "old.mm").read_bytes()
+    assert _same_matrix(read_matrix_market(tmp_path / "new.mm"), a)
+
+
+# --- malformed files raise ValueError, never another exception type
+
+def _data_line_numbers(lines):
+    return [k for k, ln in enumerate(lines)
+            if k > 0 and ln.strip() and not ln.lstrip().startswith("%")][1:]
+
+
+def _read_or_value_error(path):
+    try:
+        return read_matrix_market(path)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mm_files(), data=st.data())
+def test_fuzzed_files_raise_only_value_error(tmp_path, text, data):
+    cut = data.draw(st.integers(0, len(text)))
+    chars = list(text)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if chars:
+            chars[data.draw(st.integers(0, len(chars) - 1))] = data.draw(
+                st.sampled_from(list(" \t\n\r\x0c\x00%.-+e019xé")))
+    path = tmp_path / "m.mtx"
+    for mangled in (text[:cut], "".join(chars)):
+        path.write_text(mangled, encoding="utf-8")
+        _read_or_value_error(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mm_files(), data=st.data(),
+       fault=st.sampled_from(["drop_line", "extra_field", "missing_field",
+                              "nan", "inf", "bad_index", "size_fields"]))
+def test_malformed_files_raise_value_error(tmp_path, text, data, fault):
+    lines = text.rstrip("\n").split("\n")
+    layout = lines[0].split()[2]
+    numbers = _data_line_numbers(lines)
+    size_at = next(k for k, ln in enumerate(lines)
+                   if k > 0 and ln.strip() and not ln.lstrip().startswith("%"))
+    if fault == "size_fields":
+        lines[size_at] += " 1"
+    else:
+        if not numbers:
+            return
+        # the last data line: its position is not written again later
+        k = numbers[-1]
+        fields = lines[k].split()
+        if fault == "drop_line":
+            del lines[data.draw(st.sampled_from(numbers))]
+        elif fault == "extra_field":
+            lines[k] += " 1"
+        elif fault == "missing_field":
+            lines[k] = " ".join(fields[:-1]) if len(fields) > 1 else ""
+            if not lines[k]:
+                del lines[k]
+        elif fault in ("nan", "inf"):
+            lines[k] = " ".join(fields[:-1] + [data.draw(st.sampled_from(
+                ["nan", "NaN", "-nan"] if fault == "nan" else ["inf", "-inf", "Infinity"]))])
+        elif layout == "coordinate":
+            rows, cols = (int(v) for v in lines[size_at].split()[:2])
+            col = data.draw(st.integers(0, 1))
+            fields[col] = str(data.draw(st.sampled_from(
+                [0, -1, (rows, cols)[col] + 1, 10**12])))
+            lines[k] = " ".join(fields)
+        else:
+            return
+    path = tmp_path / "m.mtx"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("0 1 5.0", "row index 0 outside 1..3"),
+    ("1 0 5.0", "column index 0 outside 1..2"),
+    ("4 1 5.0", "row index 4 outside 1..3"),
+    ("1 3 5.0", "column index 3 outside 1..2"),
+    ("-2 1 5.0", "row index -2 outside 1..3"),
+    ("1.0 1 5.0", "could not convert"),
+    ("99999999999999999999 1 5.0", "could not convert"),
+])
+def test_coordinate_index_out_of_range_names_path_and_index(tmp_path, entry, message):
+    # index 0 once wrapped to the last row, and a too-large index raised IndexError
+    path = tmp_path / "idx.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n3 2 1\n{entry}\n")
+    with pytest.raises(ValueError, match=message) as info:
+        read_matrix_market(path)
+    assert str(path) in str(info.value)
+
+
+def test_symmetric_must_be_square(tmp_path):
+    path = tmp_path / "rect.mtx"
+    for body in ("array real symmetric\n3 2\n1\n2\n3\n4\n5\n6\n",
+                 "coordinate real symmetric\n2 3 1\n1 3 1.0\n"):
+        path.write_text("%%MatrixMarket matrix " + body)
+        with pytest.raises(ValueError, match="must be square"):
+            read_matrix_market(path)
+
+
+def test_empty_bodies(tmp_path):
+    path = tmp_path / "e.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n% c\n2 3 0\n% c\n\n")
+    assert _same_matrix(read_matrix_market(path), np.zeros((2, 3)))
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 3 1\n% c\n")
+    with pytest.raises(ValueError, match="expected 1 entries, found 0"):
+        read_matrix_market(path)
+    path.write_text("%%MatrixMarket matrix array real general\n2 1\n")
+    with pytest.raises(ValueError, match="expected 2 values, found 0"):
+        read_matrix_market(path)
+
+
+def test_array_line_with_two_values_rejected(tmp_path):
+    path = tmp_path / "two.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n")
+    with pytest.raises(ValueError, match="one value per line"):
+        read_matrix_market(path)

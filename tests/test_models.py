@@ -10,7 +10,7 @@ from rsvdlab.models import (
     symmetric_gaussian,
 )
 from rsvdlab.rng import RngStream
-from rsvdlab.subspace import d2
+from rsvdlab.subspace import procrustes_align
 
 B0 = [[0.8, 0.3], [0.3, 0.8]]
 
@@ -107,7 +107,7 @@ class TestMissingPca:
         gram = inst.x_obs @ inst.x_obs.T
         vals, vecs = np.linalg.eigh(gram)
         top = vecs[:, np.argsort(-np.abs(vals))[:3]]
-        assert d2(top, inst.u) <= 1e-6
+        assert procrustes_align(top, inst.u).residual_spectral <= 1e-6
 
     def test_full_rank_full_observation_identity(self):
         inst = gen_missing_pca(6, 50, 6, 1.0, 0.0, RngStream(8, 1))

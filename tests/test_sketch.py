@@ -16,7 +16,7 @@ from rsvdlab.sketch import (
     rs_rsvd_sym,
     rs_rsvd_sym_chain,
 )
-from rsvdlab.subspace import d2, d2_inf
+from rsvdlab.subspace import procrustes_align
 
 from _oracles import naive_block_svds, naive_repeated_sketch
 
@@ -40,7 +40,7 @@ def test_power_sketch_identity():
     for k in (1, 2, 3):
         out = chain_at(np.eye(6), g_mat, 3, k)
         assert out.sigma_k_sketch == pytest.approx(s_ref[k - 1], rel=1e-10)
-        assert d2(out.u_hat_g, u_ref[:, :k]) <= 1e-10
+        assert procrustes_align(out.u_hat_g, u_ref[:, :k]).residual_spectral <= 1e-10
 
 
 def test_power_sketch_diagonal_powers():
@@ -58,7 +58,7 @@ def test_power_sketch_matches_direct_cube():
     for k in range(1, 6):
         out = chain_at(m_hat, g_mat, 3, k)
         assert out.sigma_k_sketch == pytest.approx(s_ref[k - 1], rel=1e-7)
-    assert d2(out.u_hat_g, u_ref) <= 1e-8
+    assert procrustes_align(out.u_hat_g, u_ref).residual_spectral <= 1e-8
 
 
 def test_power_sketch_total_collapse_names_iteration():
@@ -92,7 +92,7 @@ def test_rs_rsvd_exact_low_rank_diagonal():
     out = rs_rsvd_sym(m_hat, cfg)
     target = np.zeros((20, 2))
     target[0, 0] = target[1, 1] = 1.0
-    assert d2(out.u_hat_g, target) <= 1e-8
+    assert procrustes_align(out.u_hat_g, target).residual_spectral <= 1e-8
     assert np.allclose(out.sigma_tilde, [5.0, 4.0], atol=1e-8)
 
 
@@ -101,8 +101,9 @@ def test_pure_signal_is_exact_any_g():
     for g in (1, 2, 3):
         cfg = SketchConfig(k=3, k_tilde=3, a_n=2, g=g, stream=RngStream(31, g))
         out = rs_rsvd_sym(m, cfg)
-        assert d2(out.u_hat_g, basis) <= 1e-8
-        assert d2_inf(out.u_hat_g, basis) <= 1e-8
+        res = procrustes_align(out.u_hat_g, basis)
+        assert res.residual_spectral <= 1e-8
+        assert res.residual_two_inf <= 1e-8
 
 
 def test_monotone_improvement_against_exact_eigenvectors():
@@ -112,7 +113,8 @@ def test_monotone_improvement_against_exact_eigenvectors():
     u_exact = sym_eig(inst.a).vectors[:, :2]
     cfg = SketchConfig(k=2, k_tilde=4, a_n=3, g=3, stream=RngStream(31, 6))
     outs = rs_rsvd_sym_chain(inst.a, cfg, [1, 3])
-    assert d2(outs[3].u_hat_g, u_exact) <= d2(outs[1].u_hat_g, u_exact)
+    assert (procrustes_align(outs[3].u_hat_g, u_exact).residual_spectral
+            <= procrustes_align(outs[1].u_hat_g, u_exact).residual_spectral)
 
 
 def test_chain_matches_individual_runs():
@@ -172,7 +174,7 @@ def test_naive_multi_pass_oracle_agrees():
     g_star = combined_sketch(36, cfg)
     _, chosen_ref, u_ref = naive_repeated_sketch(m_hat, g_star, 2, 6, 4, 2)
     assert out.chosen_sketch == chosen_ref
-    assert d2(out.u_hat_g, u_ref) <= 1e-7
+    assert procrustes_align(out.u_hat_g, u_ref).residual_spectral <= 1e-7
 
 
 def test_projector_idempotence():
@@ -259,12 +261,12 @@ def test_asym_diagonal_like():
     out = rs_rsvd_asym(m_hat, cfg)
     e1 = np.zeros((3, 1)); e1[0, 0] = 1.0
     # the second singular direction is damped by (2/7)^(2g+1), not removed
-    assert d2(out.u_hat_g, e1) <= 0.05
+    assert procrustes_align(out.u_hat_g, e1).residual_spectral <= 0.05
     assert out.sigma_tilde[0] == pytest.approx(7.0, rel=0.01)
     # exactly rank-1 input makes the recovery exact
     m_rank1 = np.array([[7.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     out1 = rs_rsvd_asym(m_rank1, cfg)
-    assert d2(out1.u_hat_g, e1) <= 1e-10
+    assert procrustes_align(out1.u_hat_g, e1).residual_spectral <= 1e-10
     assert out1.sigma_tilde[0] == pytest.approx(7.0, abs=1e-10)
 
 
@@ -276,7 +278,7 @@ def test_asym_pure_signal_exact():
     for g in (1, 2):
         cfg = SketchConfig(k=3, k_tilde=4, a_n=2, g=g, stream=RngStream(41, 2 + g))
         out = rs_rsvd_asym(m, cfg)
-        assert d2(out.u_hat_g, left) <= 1e-8
+        assert procrustes_align(out.u_hat_g, left).residual_spectral <= 1e-8
 
 
 def test_asym_noisy_error_decreases_with_g():
@@ -290,7 +292,8 @@ def test_asym_noisy_error_decreases_with_g():
     base_u = svd_thin(base_q @ (base_q.T @ m_hat))[0][:, :2]
     cfg = SketchConfig(k=2, k_tilde=3, a_n=2, g=3, stream=RngStream(41, 11))
     out = rs_rsvd_asym(m_hat, cfg)
-    assert d2(out.u_hat_g, u_exact) <= d2(base_u, u_exact)
+    assert (procrustes_align(out.u_hat_g, u_exact).residual_spectral
+            <= procrustes_align(base_u, u_exact).residual_spectral)
     assert orthonormality_defect(out.u_hat_g) <= 1e-10
 
 
@@ -311,7 +314,7 @@ def _assert_engine_matches_oracle(m_hat, cfg, rectangular):
     s = svds[chosen][1]
     assume(s[k - 1] - (s[k] if k < s.size else 0.0) > 1e-6 * s[0])
     assert out.chosen_sketch == chosen
-    assert d2(out.u_hat_g, u_ref) <= 1e-7
+    assert procrustes_align(out.u_hat_g, u_ref).residual_spectral <= 1e-7
 
 
 _shapes = dict(seed=st.integers(0, 2**31 - 1), a_n=st.integers(1, 5),

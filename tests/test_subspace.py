@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from rsvdlab.linalg import qr_thin
 from rsvdlab.rng import RngStream, gaussian_matrix
-from rsvdlab.subspace import d2, d2_inf, procrustes_align, sin_theta_norm
+from rsvdlab.subspace import procrustes_align
 
-from _oracles import grid_min_spectral_residual
+from _oracles import grid_min_spectral_residual, sin_theta_norm
 
 
 def random_basis(n, k, seed):
@@ -24,8 +24,7 @@ def test_identical_bases():
     res = procrustes_align(u, u)
     assert np.allclose(res.w, np.eye(3), atol=1e-12)
     assert res.residual_spectral <= 1e-12
-    assert d2(u, u) <= 1e-12
-    assert d2_inf(u, u) <= 1e-12
+    assert res.residual_two_inf <= 1e-12
     assert sin_theta_norm(u, u) <= 1e-7
 
 
@@ -50,14 +49,16 @@ def test_sign_flip_k1_brute_force():
 def test_orthogonal_unit_vectors():
     u1 = np.zeros((5, 1)); u1[0, 0] = 1.0
     u2 = np.zeros((5, 1)); u2[1, 0] = 1.0
-    assert d2(u1, u2) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    res = procrustes_align(u1, u2)
+    assert res.residual_spectral == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert res.residual_two_inf == pytest.approx(1.0, abs=1e-12)
     assert sin_theta_norm(u1, u2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_search_oracle_k2():
     u1 = random_basis(10, 2, 3)
     u2 = random_basis(10, 2, 4)
-    val = d2(u1, u2)
+    val = procrustes_align(u1, u2).residual_spectral
     grid = grid_min_spectral_residual(u1, u2, samples=5000)
     # the grid only brackets the infimum to its resolution (~1e-5 here)
     assert val >= grid - 1e-4
@@ -68,7 +69,8 @@ def test_sin_theta_bound():
     for seed in range(5):
         u1 = random_basis(12, 3, 10 + seed)
         u2 = random_basis(12, 3, 20 + seed)
-        assert d2(u1, u2) <= np.sqrt(2.0) * sin_theta_norm(u1, u2) + 1e-9
+        res = procrustes_align(u1, u2)
+        assert res.residual_spectral <= np.sqrt(2.0) * sin_theta_norm(u1, u2) + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -77,22 +79,26 @@ def test_rotation_invariance(seed, theta):
     u1 = random_basis(10, 2, seed)
     u2 = random_basis(10, 2, seed + 77)
     w = rotation(theta)
-    assert d2(u1 @ w, u2) == pytest.approx(d2(u1, u2), abs=1e-9)
-    assert d2_inf(u1 @ w, u2) == pytest.approx(d2_inf(u1, u2), abs=1e-9)
-    assert sin_theta_norm(u1 @ w, u2) == pytest.approx(sin_theta_norm(u1, u2), abs=1e-9)
+    rotated, res = procrustes_align(u1 @ w, u2), procrustes_align(u1, u2)
+    assert rotated.residual_spectral == pytest.approx(res.residual_spectral, abs=1e-9)
+    assert rotated.residual_two_inf == pytest.approx(res.residual_two_inf, abs=1e-9)
 
 
 def test_sin_theta_symmetry_and_projector_bound():
     for seed in range(5):
         u1 = random_basis(11, 2, 30 + seed)
         u2 = random_basis(11, 2, 40 + seed)
-        assert sin_theta_norm(u1, u2) == pytest.approx(sin_theta_norm(u2, u1), abs=1e-10)
+        res = procrustes_align(u1, u2)
+        assert res.residual_spectral == pytest.approx(
+            procrustes_align(u2, u1).residual_spectral, abs=1e-10)
+        # P1 - P2 = (u1 - u2 w) u1^T + u2 w (u1 - u2 w)^T
         gap = np.linalg.norm(u1 @ u1.T - u2 @ u2.T, 2)
+        assert gap <= 2.0 * res.residual_spectral + 1e-9
         assert gap <= 2.0 * sin_theta_norm(u1, u2) + 1e-9
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        d2(random_basis(8, 2, 0), random_basis(8, 3, 1))
+        procrustes_align(random_basis(8, 2, 0), random_basis(8, 3, 1))
     with pytest.raises(ValueError):
-        sin_theta_norm(random_basis(8, 2, 0), random_basis(9, 2, 1))
+        procrustes_align(random_basis(8, 2, 0), random_basis(9, 2, 1))
