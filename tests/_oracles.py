@@ -207,6 +207,8 @@ def line_loop_read_matrix_market(path):
     data = body[1:]
 
     if layout == "array":
+        if len(size) != 2:
+            raise ValueError(f"{path}: array size line must have 2 fields")
         rows, cols = int(size[0]), int(size[1])
         expected = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
         if len(data) != expected:
@@ -223,6 +225,8 @@ def line_loop_read_matrix_market(path):
                 out[j, j:] = block
                 pos += rows - j
     else:
+        if len(size) != 3:
+            raise ValueError(f"{path}: coordinate size line must have 3 fields")
         rows, cols, nnz = int(size[0]), int(size[1]), int(size[2])
         if len(data) != nnz:
             raise ValueError(f"{path}: expected {nnz} entries, found {len(data)}")

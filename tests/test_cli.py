@@ -123,8 +123,8 @@ class TestExitCodes:
         assert [float(v) for v in sigma] == pytest.approx([10.0, 5.0], rel=1e-8)
 
     @pytest.mark.parametrize("body", [
-        "40 40 1\n0 1 5.0\n",       # zero index, which once wrapped to row 40
-        "40 40 1\n41 1 5.0\n",      # past the last row, once an IndexError
+        "40 40 1\n0 1 5.0\n",       # zero index
+        "40 40 1\n41 1 5.0\n",      # past the last row
         "40 40 1\n1 41 5.0\n",
         "40 40 1\n1 2\n",           # missing value
         "40 40 2\n1 1 5.0\n",       # truncated
