@@ -55,7 +55,8 @@ def write_matrix_market(path, a):
 
 def _load_body(text, pos, path, dtype, expected, noun):
     """The data lines from offset ``pos`` on as ``dtype`` values, one per
-    line; raises unless there are exactly ``expected`` of them."""
+    line; raises unless there are exactly ``expected`` of them, with
+    finite values."""
     if _DATA_LINE.search(text, pos) is None:
         # np.loadtxt warns on input without data
         data = np.empty(0, dtype=dtype)
@@ -74,6 +75,8 @@ def _load_body(text, pos, path, dtype, expected, noun):
             data = data[:, 0]
     if data.size != expected:
         raise ValueError(f"{path}: expected {expected} {noun}, found {data.size}")
+    if not np.isfinite(data["v"] if dtype.names else data).all():
+        raise ValueError(f"{path}: matrix contains non-finite entries")
     return data
 
 
@@ -93,7 +96,7 @@ def _scatter_last(shape, lin, vals):
     last = lin.size - 1 - first
     out = np.zeros(shape, dtype=np.float64)
     out.ravel()[lin[last]] = vals[last]
-    return out, vals[last]
+    return out
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -155,9 +158,7 @@ def read_matrix_market(path) -> np.ndarray:
             # each entry's write, then its mirror's, in file order
             i, j = np.stack([i, j], axis=1).ravel(), np.stack([j, i], axis=1).ravel()
             vals = np.repeat(vals, 2)
-        out, vals = _scatter_last((rows, cols), i * cols + j, vals)
-    if not np.isfinite(vals).all():
-        raise ValueError(f"{path}: matrix contains non-finite entries")
+        out = _scatter_last((rows, cols), i * cols + j, vals)
     return out
 
 

@@ -201,11 +201,6 @@ def test_writer_bytes_equal_oracle_across_chunks(tmp_path):
 
 # --- malformed files raise ValueError, never another exception type
 
-def _data_line_numbers(lines):
-    return [k for k, ln in enumerate(lines)
-            if k > 0 and ln.strip() and not ln.lstrip().startswith("%")][1:]
-
-
 def _read_or_value_error(path):
     try:
         return read_matrix_market(path)
@@ -237,9 +232,8 @@ def test_fuzzed_files_raise_only_value_error(tmp_path, text, data):
 def test_malformed_files_raise_value_error(tmp_path, text, data, fault):
     lines = text.rstrip("\n").split("\n")
     layout = lines[0].split()[2]
-    numbers = _data_line_numbers(lines)
-    size_at = next(k for k, ln in enumerate(lines)
-                   if k > 0 and ln.strip() and not ln.lstrip().startswith("%"))
+    size_at, *numbers = [k for k, ln in enumerate(lines)
+                         if k > 0 and ln.strip() and not ln.lstrip().startswith("%")]
     if fault == "size_fields":
         lines[size_at] += " 1"
     else:
@@ -315,4 +309,11 @@ def test_array_line_with_two_values_rejected(tmp_path):
     path = tmp_path / "two.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n")
     with pytest.raises(ValueError, match="one value per line"):
+        read_matrix_market(path)
+
+
+def test_non_finite_value_rejected_even_when_overwritten(tmp_path):
+    path = tmp_path / "nan.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n1 1 2.0\n")
+    with pytest.raises(ValueError, match="non-finite"):
         read_matrix_market(path)
