@@ -151,7 +151,7 @@ def exact_complete(t_hat, p, k, mode="one_sided") -> CompletionResult:
     """Completion baseline using the exact k leading (by magnitude)
     eigenvectors of the rescaled observation instead of the sketch."""
     m_hat, p_used = _completion_inputs(t_hat, p)
-    u = sym_eig(m_hat).vectors[:, :k]
+    u = sym_eig(m_hat, k).vectors
     return CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
                             mode=mode, p_used=p_used)
 

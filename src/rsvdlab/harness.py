@@ -240,7 +240,7 @@ def _run_pca_sweep(params, n, g_list, stream):
     sigma = float(params.get("sigma", 1.0))
     inst = gen_missing_pca(n, m, k, p, sigma, stream.child("model"))
     q = missing_pca_gram(inst.x_obs, p)
-    u_exact = sym_eig(q).vectors[:, :k]
+    u_exact = sym_eig(q, k).vectors
     d2_exact = procrustes_align(u_exact, inst.u).residual_spectral
     outputs = _chain(q, params, n, g_list, stream, k=k)
     return {

@@ -10,9 +10,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rng import RngStream, gaussian_matrix
+
 #: Maximum size accepted by the dense symmetric eigensolver.
 SYM_EIG_MAX_N = 4096
 SYM_EIG_TOL = 1e-10       # largest |S - S^T| entry sym_eig accepts
+SYM_EIG_MAX_ITER = 100    # block iterations sym_eig(s, k) runs before falling back to eigh
+_TOPK_RTOL = 1e-10        # Ritz residual, relative to |theta_1|, that certifies a top-k pair
+_TOPK_STREAM = RngStream(0x5EED)  # start blocks of the top-k path; no plan draws from it
 ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
 _QR_RCOND = 1e-12         # smallest R diagonal, relative to ||A||_F, qr_thin accepts
 _SIGN_TOL = 1e-8          # entries below this fraction of a column's peak skip the sign rule
@@ -157,23 +162,56 @@ def svd_thin(y):
     return u, s, v
 
 
-def sym_eig(s) -> SpectrumPair:
+def _top_k(s, k):
+    """The k leading pairs of the symmetric ``s`` by block subspace iteration
+    with Rayleigh-Ritz, or None where sym_eig falls back to eigh."""
+    b = max(2 * k, k + 8)
+    if s.shape[0] <= 4 * b:
+        return None
+    q, _ = np.linalg.qr(gaussian_matrix(s.shape[0], b, _TOPK_STREAM))
+    for _ in range(SYM_EIG_MAX_ITER):
+        y = s @ q
+        theta, w = np.linalg.eigh(q.T @ y)
+        order = np.lexsort((-theta, -np.abs(theta)))
+        theta, w = theta[order], w[:, order[:k]]
+        u = q @ w
+        tol = _TOPK_RTOL * abs(theta[0])
+        if np.all(np.linalg.norm(y @ w - u * theta[:k], axis=0) <= tol):
+            # converged; a boundary gap within the tolerance counts as a tie
+            if abs(theta[k - 1]) - abs(theta[k]) > tol:
+                return SpectrumPair(theta[:k], _fix_column_signs(u))
+            return None
+        q, _ = np.linalg.qr(y)
+    return None
+
+
+def sym_eig(s, k=None) -> SpectrumPair:
     """Eigendecomposition of a symmetric matrix, sorted by descending |value|.
 
     Magnitude ties are broken by placing the positive eigenvalue first.
-    Inputs larger than SYM_EIG_MAX_N or asymmetric beyond SYM_EIG_TOL are
-    rejected.
+    Inputs asymmetric beyond SYM_EIG_TOL are rejected.
+
+    With ``k`` only the k leading pairs are returned, from block subspace
+    iteration on an n x b block, b = max(2k, k + 8), started from a fixed
+    internal stream.  Its certificate: each of the first k Ritz pairs has
+    ||S u - theta u|| <= 1e-10 |theta_1|, and |theta_k| - |theta_{k+1}|
+    exceeds that bound.  The full eigh path serves instead when a converged
+    boundary ties, after SYM_EIG_MAX_ITER iterations without the
+    certificate, or when n <= 4b; only eigh is capped at SYM_EIG_MAX_N rows.
     """
     s = as_matrix(s, "symmetric input")
     n = s.shape[0]
-    if n > SYM_EIG_MAX_N:
-        raise ValueError(f"dense eigensolver limited to {SYM_EIG_MAX_N} rows, got {n}")
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n}, got {k}")
     asym = symmetry_defect(s)
     if asym > SYM_EIG_TOL:
         raise ValueError(f"input is not symmetric: max |S - S^T| = {asym:.3e}")
+    if k is not None and (top := _top_k(s if asym == 0.0 else (s + s.T) / 2.0, k)):
+        return top
+    if n > SYM_EIG_MAX_N:
+        raise ValueError(f"dense eigensolver limited to {SYM_EIG_MAX_N} rows, got {n}")
     vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
-    order = np.lexsort((-vals, -np.abs(vals)))
+    order = np.lexsort((-vals, -np.abs(vals)))[:k]
     vals = vals[order]
     vecs = _fix_column_signs(vecs[:, order])
     return SpectrumPair(values=vals, vectors=vecs)
-

@@ -87,16 +87,14 @@ def _check_index(idx, bound, path, name):
                          f"outside 1..{bound}")
 
 
-def _scatter_last(shape, lin, vals):
-    """Dense matrix with vals[t] at flat position lin[t]; where a position
-    repeats, the last write in order wins."""
+def _scatter_last(out, lin, vals):
+    """Write vals[t] at flat position lin[t] of the contiguous ``out``; where
+    a position repeats, the last write in order wins."""
     # np.unique on the reversed positions keeps each one's first occurrence
     # there, i.e. its last write here
     _, first = np.unique(lin[::-1], return_index=True)
     last = lin.size - 1 - first
-    out = np.zeros(shape, dtype=np.float64)
     out.ravel()[lin[last]] = vals[last]
-    return out
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -149,6 +147,11 @@ def read_matrix_market(path) -> np.ndarray:
                 out[j, j:] = block
                 start += rows - j
     else:
+        try:
+            out = np.zeros((rows, cols))
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"{path}: declared size {rows}x{cols} is too large "
+                             f"for a dense array") from exc
         entries = _load_body(text, pos, path, _ENTRY, nnz[0], "entries")
         i, j, vals = entries["i"], entries["j"], entries["v"]
         _check_index(i, rows, path, "row")
@@ -158,7 +161,7 @@ def read_matrix_market(path) -> np.ndarray:
             # each entry's write, then its mirror's, in file order
             i, j = np.stack([i, j], axis=1).ravel(), np.stack([j, i], axis=1).ravel()
             vals = np.repeat(vals, 2)
-        out = _scatter_last((rows, cols), i * cols + j, vals)
+        _scatter_last(out, i * cols + j, vals)
     return out
 
 

@@ -130,6 +130,7 @@ class TestExitCodes:
         "40 40 2\n1 1 5.0\n",       # truncated
         "40 40 1\n1 1 nan\n",
         "40 40\n1 1 5.0\n",         # size line
+        "1000000000 1000000000 1\n1 1 5.0\n",  # too large to allocate
     ])
     def test_malformed_or_out_of_range_input_exits_2(self, tmp_path, capsys, body):
         assert self._svd(tmp_path, body) == 2
@@ -223,6 +224,24 @@ class TestComplete:
         meta_r = json.loads((out_rsvd / "meta.json").read_text())
         meta_e = json.loads((out_exact / "meta.json").read_text())
         assert meta_r["frob_err_per_n"] <= 2.0 * meta_e["frob_err_per_n"]
+
+    def test_exact_matches_full_eigh_reconstruction(self, tmp_path):
+        # --exact takes sym_eig's certified top-k path; its T_hat must agree
+        # with the one built from a full eigh of the same rescaled input
+        from rsvdlab.linalg import _top_k, sym_eig
+        from rsvdlab.models import gen_completion
+
+        inst = gen_completion(200, 3, 1.0, 0.6, 0.3, True, RngStream(5, 0))
+        write_matrix_market(tmp_path / "obs.mtx", inst.t_hat)
+        out = tmp_path / "out"
+        assert run_cli("complete", str(tmp_path / "obs.mtx"), "--p", "0.6",
+                       "--k", "3", "--exact", "--out", str(out)) == 0
+        m_hat = read_matrix_market(tmp_path / "obs.mtx") / 0.6
+        assert _top_k(m_hat, 3) is not None
+        u = sym_eig(m_hat).vectors[:, :3]
+        expected = u @ (u.T @ m_hat)
+        got = read_matrix_market(out / "completed.mm")
+        assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_auto_p(self, tmp_path):
         out = tmp_path / "out"

@@ -1,8 +1,11 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from rsvdlab.linalg import (
+    SYM_EIG_MAX_N,
     RankDeficiencyError,
+    _top_k,
     orthonormality_defect,
     qr_thin,
     signed_qr,
@@ -141,3 +144,175 @@ def test_non_finite_rejected():
     bad[1, 1] = np.inf
     with pytest.raises(ValueError):
         svd_thin(bad)
+
+
+# --- sym_eig(s, k): the certified top-k path against the full eigh path ---
+
+def _block(k):
+    return max(2 * k, k + 8)
+
+
+def _planted(values, seed):
+    """Q diag(values) Q^T for a random orthogonal Q, exactly symmetric."""
+    values = np.asarray(values, dtype=np.float64)
+    q, _ = np.linalg.qr(gaussian_matrix(values.size, values.size, RngStream(seed, 7)))
+    s = (q * values) @ q.T
+    return (s + s.T) / 2.0
+
+
+def _assert_same_bits(pair, full, k):
+    assert np.array_equal(pair.values, full.values[:k])
+    assert np.array_equal(pair.vectors, full.vectors[:, :k])
+
+
+def _assert_close_to_full(s, k, pair):
+    """The k pairs match eigh's to what the 1e-10 |lambda_1| residual
+    certificate implies for a gap of at least half |lambda_k|."""
+    full = sym_eig(s)
+    scale = abs(full.values[0])
+    assert pair.values.shape == (k,) and pair.vectors.shape == (s.shape[0], k)
+    assert np.max(np.abs(pair.values - full.values[:k])) <= 1e-9 * scale
+    assert np.max(np.abs(pair.vectors - full.vectors[:, :k])) <= 1e-8
+    assert orthonormality_defect(pair.vectors) <= 1e-12
+
+
+@st.composite
+def gapped_spectra(draw, n_max_extra=24):
+    """(k, values): k leading magnitudes 1 + cumulated gaps in [0.5, 3], the
+    rest at most half of |lambda_k|, all with random signs and one scale."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(4 * _block(k) + 1, 4 * _block(k) + n_max_extra))
+    gaps = draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k))
+    lead = 1.0 + np.cumsum(gaps) - gaps[0]
+    bulk = draw(st.floats(0.0, 0.5)) * np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n - k, max_size=n - k)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                   min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    return k, scale * signs * np.concatenate([lead[::-1], bulk])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=gapped_spectra(), seed=st.integers(0, 2**32 - 1))
+def test_top_k_matches_full_path_on_mixed_sign_spectra(case, seed):
+    k, values = case
+    s = _planted(values, seed)
+    assert _top_k(s, k) is not None   # certified, no fallback
+    pair = sym_eig(s, k)
+    _assert_close_to_full(s, k, pair)
+    # the start block comes from a fixed stream: every call gives the same bits
+    again = sym_eig(s, k)
+    assert np.array_equal(again.values, pair.values)
+    assert np.array_equal(again.vectors, pair.vectors)
+
+
+def test_top_k_dominant_negative_eigenvalue():
+    values = np.concatenate([[-9.0, 4.0, -2.5], np.linspace(0.9, -0.9, 57)])
+    s = _planted(values, 5)
+    pair = sym_eig(s, 3)
+    assert _top_k(s, 3) is not None
+    assert pair.values == pytest.approx([-9.0, 4.0, -2.5], rel=1e-12)
+    _assert_close_to_full(s, 3, pair)
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=gapped_spectra(n_max_extra=6), seed=st.integers(0, 2**32 - 1))
+def test_top_k_values_match_jacobi_oracle(case, seed):
+    k, values = case
+    s = _planted(values, seed)
+    jac = jacobi_eigenvalues(s)
+    jac = jac[np.lexsort((-jac, -np.abs(jac)))][:k]
+    assert np.max(np.abs(sym_eig(s, k).values - jac)) <= 1e-9 * abs(jac[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), rank=st.integers(0, 7), extra=st.integers(1, 20),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=7, max_size=7),
+       seed=st.integers(0, 2**32 - 1))
+def test_top_k_on_exactly_low_rank_input(k, rank, extra, signs, seed):
+    n = 4 * _block(k) + extra
+    values = np.zeros(n)
+    values[:rank] = np.array(signs[:rank]) * np.arange(rank + 1, 1, -1)
+    s = _planted(values, seed)
+    pair = sym_eig(s, k)
+    if rank < k:
+        # the k-th value is a zero of multiplicity n - rank: the boundary ties
+        assert _top_k(s, k) is None
+        _assert_same_bits(pair, sym_eig(s), k)
+    else:
+        assert _top_k(s, k) is not None
+        _assert_close_to_full(s, k, pair)
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_top_k_zero_matrix_falls_back(k):
+    s = np.zeros((200, 200))
+    assert _top_k(s, k) is None
+    pair = sym_eig(s, k)
+    _assert_same_bits(pair, sym_eig(s), k)
+    assert np.all(pair.values == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), extra=st.integers(1, 20), negative_first=st.booleans(),
+       rotate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_top_k_sign_tie_at_boundary_falls_back_bit_for_bit(k, extra, negative_first,
+                                                          rotate, seed):
+    n = 4 * _block(k) + extra
+    tie = [-3.0, 3.0] if negative_first else [3.0, -3.0]
+    values = np.concatenate([np.arange(k + 3, 4, -1, dtype=float), tie,
+                             np.linspace(1.5, -1.5, n - k - 1)])
+    if rotate:
+        s = _planted(values, seed)
+    else:
+        perm = RngStream(seed, 8).generator().permutation(n)
+        s = np.diag(values[perm])
+    assert _top_k(s, k) is None
+    _assert_same_bits(sym_eig(s, k), sym_eig(s), k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_top_k_small_n_takes_full_path(k, data, seed):
+    n = data.draw(st.integers(k, 4 * _block(k)))
+    a = gaussian_matrix(n, n, RngStream(seed, 9))
+    s = (a + a.T) / 2.0
+    assert _top_k(s, k) is None
+    _assert_same_bits(sym_eig(s, k), sym_eig(s), k)
+
+
+@pytest.mark.parametrize("n", [1, 5, 60])
+def test_top_k_with_k_equal_n(n):
+    a = gaussian_matrix(n, n, RngStream(n, 10))
+    s = (a + a.T) / 2.0
+    _assert_same_bits(sym_eig(s, n), sym_eig(s), n)
+
+
+def test_top_k_rejects_what_the_full_path_rejects():
+    asym = np.zeros((60, 60))
+    asym[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(asym, 2)
+    bad = np.eye(60)
+    bad[3, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eig(bad, 2)
+    bad[3, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_eig(bad, 2)
+    for k in (0, 61):
+        with pytest.raises(ValueError, match="k must lie in"):
+            sym_eig(np.eye(60), k)
+
+
+def test_top_k_is_not_capped_but_its_fallback_is():
+    n = SYM_EIG_MAX_N + 1
+    s = np.zeros((n, n))
+    with pytest.raises(ValueError, match="limited to"):
+        sym_eig(s, 2)   # ties at zero, so it falls back to eigh
+    np.fill_diagonal(s, 1.0)
+    s[7, 7], s[11, 11] = -5.0, 4.0
+    pair = sym_eig(s, 2)
+    assert pair.values == pytest.approx([-5.0, 4.0], rel=1e-12)
+    assert abs(pair.vectors[7, 0]) == pytest.approx(1.0, abs=1e-9)
+    assert abs(pair.vectors[11, 1]) == pytest.approx(1.0, abs=1e-9)

@@ -317,3 +317,14 @@ def test_non_finite_value_rejected_even_when_overwritten(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n1 1 2.0\n")
     with pytest.raises(ValueError, match="non-finite"):
         read_matrix_market(path)
+
+
+def test_oversized_declaration_is_value_error(tmp_path):
+    # 10^18 float64 entries (8 EB) cannot be allocated whatever the overcommit
+    # setting, so numpy's MemoryError is what the reader has to translate
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "1000000000 1000000000 1\n1 1 5.0\n")
+    with pytest.raises(ValueError, match="declared size 1000000000x1000000000") as info:
+        read_matrix_market(path)
+    assert str(path) in str(info.value)
