@@ -16,6 +16,7 @@ from .rng import RngStream, gaussian_matrix
 SYM_EIG_MAX_N = 4096
 SYM_EIG_TOL = 1e-10       # largest |S - S^T| entry sym_eig accepts
 SYM_EIG_MAX_ITER = 100    # block iterations sym_eig(s, k) runs before falling back to eigh
+SYM_EIG_TOPK_MIN_N = 350  # sym_eig(s, k) keeps eigh up to this n, where eigh is as fast
 _TOPK_RTOL = 1e-10        # Ritz residual, relative to |theta_1|, that certifies a top-k pair
 _TOPK_STREAM = RngStream(0x5EED)  # start blocks of the top-k path; no plan draws from it
 ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
@@ -166,21 +167,23 @@ def _top_k(s, k):
     """The k leading pairs of the symmetric ``s`` by block subspace iteration
     with Rayleigh-Ritz, or None where sym_eig falls back to eigh."""
     b = max(2 * k, k + 8)
-    if s.shape[0] <= 4 * b:
+    if s.shape[0] <= max(4 * b, SYM_EIG_TOPK_MIN_N):
         return None
     q, _ = np.linalg.qr(gaussian_matrix(s.shape[0], b, _TOPK_STREAM))
     for _ in range(SYM_EIG_MAX_ITER):
         y = s @ q
         theta, w = np.linalg.eigh(q.T @ y)
-        order = np.lexsort((-theta, -np.abs(theta)))
-        theta, w = theta[order], w[:, order[:k]]
+        order = np.lexsort((-theta, -np.abs(theta)))[:k + 1]
+        theta, w = theta[order], w[:, order]
         u = q @ w
+        res = np.linalg.norm(y @ w - u * theta, axis=0)
         tol = _TOPK_RTOL * abs(theta[0])
-        if np.all(np.linalg.norm(y @ w - u * theta[:k], axis=0) <= tol):
-            # converged; a boundary gap within the tolerance counts as a tie
-            if abs(theta[k - 1]) - abs(theta[k]) > tol:
-                return SpectrumPair(theta[:k], _fix_column_signs(u))
-            return None
+        if np.all(res[:k] <= tol):
+            gap = abs(theta[k - 1]) - abs(theta[k])
+            if gap <= tol:       # the converged boundary ties
+                return None
+            if gap > tol + res[k]:   # clears the eigenvalue near theta_{k+1} too
+                return SpectrumPair(theta[:k], _fix_column_signs(u[:, :k]))
         q, _ = np.linalg.qr(y)
     return None
 
@@ -195,9 +198,11 @@ def sym_eig(s, k=None) -> SpectrumPair:
     iteration on an n x b block, b = max(2k, k + 8), started from a fixed
     internal stream.  Its certificate: each of the first k Ritz pairs has
     ||S u - theta u|| <= 1e-10 |theta_1|, and |theta_k| - |theta_{k+1}|
-    exceeds that bound.  The full eigh path serves instead when a converged
-    boundary ties, after SYM_EIG_MAX_ITER iterations without the
-    certificate, or when n <= 4b; only eigh is capped at SYM_EIG_MAX_N rows.
+    exceeds that bound plus the (k+1)-th Ritz residual, within which S has
+    an eigenvalue near theta_{k+1}.  The full eigh path serves instead when
+    a converged boundary ties, after SYM_EIG_MAX_ITER iterations without
+    the certificate, or when n <= max(4b, SYM_EIG_TOPK_MIN_N): at those
+    sizes eigh is as fast; only eigh is capped at SYM_EIG_MAX_N rows.
     """
     s = as_matrix(s, "symmetric input")
     n = s.shape[0]

@@ -226,12 +226,13 @@ class TestComplete:
         assert meta_r["frob_err_per_n"] <= 2.0 * meta_e["frob_err_per_n"]
 
     def test_exact_matches_full_eigh_reconstruction(self, tmp_path):
-        # --exact takes sym_eig's certified top-k path; its T_hat must agree
-        # with the one built from a full eigh of the same rescaled input
-        from rsvdlab.linalg import _top_k, sym_eig
+        # --exact takes sym_eig's certified top-k path above its size cutoff;
+        # its T_hat must agree with the one built from a full eigh
+        from rsvdlab.linalg import SYM_EIG_TOPK_MIN_N, _top_k, sym_eig
         from rsvdlab.models import gen_completion
 
-        inst = gen_completion(200, 3, 1.0, 0.6, 0.3, True, RngStream(5, 0))
+        n = SYM_EIG_TOPK_MIN_N + 50
+        inst = gen_completion(n, 3, 1.0, 0.6, 0.3, True, RngStream(5, 0))
         write_matrix_market(tmp_path / "obs.mtx", inst.t_hat)
         out = tmp_path / "out"
         assert run_cli("complete", str(tmp_path / "obs.mtx"), "--p", "0.6",

@@ -2,6 +2,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from rsvdlab import linalg
 from rsvdlab.linalg import (
     SYM_EIG_MAX_N,
     RankDeficiencyError,
@@ -147,6 +148,18 @@ def test_non_finite_rejected():
 
 
 # --- sym_eig(s, k): the certified top-k path against the full eigh path ---
+
+TOPK_MIN_N = linalg.SYM_EIG_TOPK_MIN_N
+
+
+@pytest.fixture(scope="module", autouse=True)
+def top_k_at_any_size():
+    """The tests below reach the top-k path on inputs of a few dozen rows;
+    the size below which sym_eig keeps eigh for speed has its own test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "SYM_EIG_TOPK_MIN_N", 0)
+        yield
+
 
 def _block(k):
     return max(2 * k, k + 8)
@@ -316,3 +329,47 @@ def test_top_k_is_not_capped_but_its_fallback_is():
     assert pair.values == pytest.approx([-5.0, 4.0], rel=1e-12)
     assert abs(pair.vectors[7, 0]) == pytest.approx(1.0, abs=1e-9)
     assert abs(pair.vectors[11, 1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_top_k_keeps_eigh_up_to_the_size_cutoff(monkeypatch):
+    monkeypatch.setattr(linalg, "SYM_EIG_TOPK_MIN_N", TOPK_MIN_N)
+    k = 4
+    for n in (TOPK_MIN_N, TOPK_MIN_N + 1):
+        values = np.concatenate([[9.0, -7.0, 5.0, -3.0], np.linspace(1.0, -1.0, n - k)])
+        s = _planted(values, n)
+        if n <= TOPK_MIN_N:
+            assert _top_k(s, k) is None
+            _assert_same_bits(sym_eig(s, k), sym_eig(s), k)
+        else:
+            assert _top_k(s, k) is not None
+            _assert_close_to_full(s, k, sym_eig(s, k))
+
+
+def test_top_k_falls_back_bit_for_bit_at_the_iteration_cap(monkeypatch):
+    # |lambda_{b+1} / lambda_k| = 0.9: one block iteration cannot certify
+    k = 3
+    n = 4 * _block(k) + 20
+    values = np.concatenate([[4.0, -3.0, 2.0], np.linspace(1.8, -1.8, n - k)])
+    s = _planted(values, 11)
+    assert _top_k(s, k) is not None
+    monkeypatch.setattr(linalg, "SYM_EIG_MAX_ITER", 1)
+    assert _top_k(s, k) is None
+    _assert_same_bits(sym_eig(s, k), sym_eig(s), k)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_top_k_lagging_partner_of_a_tie_is_not_taken_for_a_gap(eps):
+    # the +3 of a +-3 tie at the boundary barely meets the fixed start
+    # block, so its Ritz value still lags when the -3 pair has converged
+    k, n = 2, 60
+    start, _ = np.linalg.qr(gaussian_matrix(n, _block(k), linalg._TOPK_STREAM))
+    a = gaussian_matrix(n, n, RngStream(3, 1))
+    lag = a[:, 0] - start @ (start.T @ a[:, 0])
+    a[:, 0] = lag / np.linalg.norm(lag) + eps * (start @ a[:_block(k), 1])
+    v, _ = np.linalg.qr(a)
+    values = np.concatenate([[3.0, 8.0, -3.0], np.linspace(1.0, -1.0, n - 3)])
+    s = (v * values) @ v.T
+    s = (s + s.T) / 2.0
+    assert sym_eig(s).values[1] > 0.0
+    assert _top_k(s, k) is None
+    _assert_same_bits(sym_eig(s, k), sym_eig(s), k)
