@@ -67,6 +67,12 @@ class ExperimentPlan:
             raise ValueError("g_list must be nonempty")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        params = self.model_params
+        if "p" in params and not 0.0 < float(params["p"]) <= 1.0:
+            raise ValueError(f"model_params 'p' must lie in (0, 1], got {params['p']!r}")
+        if "alpha" in params and not 0.0 < float(params["alpha"]) < 1.0:
+            raise ValueError(f"model_params 'alpha' must lie in (0, 1), "
+                             f"got {params['alpha']!r}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "g_list", tuple(self.g_list))
 

@@ -3,7 +3,9 @@
 Thin QR, thin SVD, and the symmetric eigensolver are LAPACK-backed (via
 numpy) but wrapped with the conventions the rest of the package relies
 on: validated finite input, deterministic sign conventions, magnitude
-ordering for eigenvalues, and explicit rank-deficiency errors.
+ordering for eigenvalues, and explicit rank-deficiency errors.  Stacks of
+tall blocks are factored by a batched CholeskyQR2 that hands each block
+too ill-conditioned for it to the Householder QR.
 """
 
 from typing import NamedTuple
@@ -21,6 +23,8 @@ _TOPK_RTOL = 1e-10        # Ritz residual, relative to |theta_1|, that certifies
 _TOPK_STREAM = RngStream(0x5EED)  # start blocks of the top-k path; no plan draws from it
 ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
 _QR_RCOND = 1e-12         # smallest R diagonal, relative to ||A||_F, qr_thin accepts
+_CHOLQR_MAX_RATIO = 1e6   # widest R_1 diagonal span (max / min) cholesky_qr2 accepts
+_CHOLQR_R2_TOL = 1e-2     # largest |R_2 - I| entry cholesky_qr2 accepts
 _SIGN_TOL = 1e-8          # entries below this fraction of a column's peak skip the sign rule
 _TILE = 128               # side of the tiles in which square n x n passes touch a matrix
 
@@ -122,6 +126,60 @@ def signed_qr(a):
     q *= signs[..., None, :]
     r *= signs[..., :, None]
     return q, r
+
+
+def _cholesky_upper(gram):
+    """Upper Cholesky factors of a stack of Gram matrices, and which blocks
+    factored; a block that is not numerically positive definite gets the
+    identity in place of its factor."""
+    try:
+        return np.linalg.cholesky(gram, upper=True), np.ones(len(gram), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    r = np.empty_like(gram)
+    ok = np.ones(len(gram), dtype=bool)
+    for b, block in enumerate(gram):
+        try:
+            r[b] = np.linalg.cholesky(block, upper=True)
+        except np.linalg.LinAlgError:
+            r[b], ok[b] = np.eye(gram.shape[-1]), False
+    return r, ok
+
+
+def cholesky_qr2(y):
+    """Reduced QR of an (a, n, k) stack by CholeskyQR2, with Q written over
+    ``y``; returns (y, R), every R diagonal nonnegative.
+
+    Each pass factors the per-block Gram Y^T Y = R^T R by Cholesky and forms
+    Q = Y R^-1 through the inverse of the k x k factor; the second pass
+    repeats the first on its Q and R = R_2 R_1 (Fukaya, Nakatsukasa,
+    Yanagisawa & Yamamoto 2014).  Its Q is orthonormal to rounding only
+    while kappa(Y) stays well below u^-1/2 (about 9.5e7), so a block is
+    factored by signed_qr alone when
+      - the Cholesky of its Gram fails in either pass,
+      - the first factor's diagonal spans more than _CHOLQR_MAX_RATIO = 1e6
+        (max / min), about u^-1/2 / 100, or
+      - R_2 differs from the identity by more than _CHOLQR_R2_TOL = 1e-2 in
+        some entry.  The diagonal span only bounds kappa(Y) from below;
+        R_2 near I certifies that the first pass's Q was near orthonormal.
+    Every step acts on one block at a time, so a block's result does not
+    depend on the other blocks of the stack.
+    """
+    eye = np.eye(y.shape[-1])
+    r1, ok = _cholesky_upper(y.mT @ y)
+    diag = np.diagonal(r1, axis1=-2, axis2=-1)
+    ok &= diag.max(axis=-1) <= _CHOLQR_MAX_RATIO * diag.min(axis=-1)
+    r1[~ok] = eye
+    q1 = y @ np.linalg.inv(r1)
+    gram2 = q1.mT @ q1
+    gram2[~ok] = eye
+    r2, ok2 = _cholesky_upper(gram2)
+    ok &= ok2 & (np.max(np.abs(r2 - eye), axis=(-2, -1)) <= _CHOLQR_R2_TOL)
+    q_bad, r_bad = signed_qr(y[~ok])  # before y is overwritten
+    np.matmul(q1, np.linalg.inv(r2), out=y)
+    r = r2 @ r1
+    y[~ok], r[~ok] = q_bad, r_bad
+    return y, r
 
 
 def qr_thin(a):

@@ -7,10 +7,11 @@ run through one power chain: the a_n blocks sit side by side in one
 combined Gaussian draw, every step applies one matrix to all of them in a
 single multiply, so the data matrix is traversed only g (resp. 2g+1)
 times.  The product is then viewed as an (a_n, n, k_tilde) stack and
-re-orthonormalized by one stacked thin QR, so the iterated powers never
-overflow: the sketch singular values are recovered from the per-block
-products of R factors, and one stacked singular-value call picks the
-winning block.  Both return the basis U, the singular values read off
+re-orthonormalized in place by one batched CholeskyQR2, which hands any
+block too ill-conditioned for it to Householder QR, so the iterated powers
+never overflow: the sketch singular values are recovered from the
+per-block products of R factors, and one stacked singular-value call picks
+the winning block.  Both return the basis U, the singular values read off
 U^T M_hat, the chosen block and its sketched sigma_k; reconstructions
 built on U belong to the applications.
 """
@@ -23,8 +24,8 @@ import numpy as np
 from .linalg import (
     RankDeficiencyError,
     as_matrix,
+    cholesky_qr2,
     orthonormality_defect,
-    signed_qr,
     svd_thin,
     symmetry_defect,
     _fix_column_signs,
@@ -153,11 +154,13 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde):
     ``g_star`` holds the blocks side by side, k_tilde columns each.  Every
     step is one combined multiply (a single pass over the data matrix);
     the product is viewed as an (a_n, rows, k_tilde) stack and every block
-    is re-orthonormalized by one stacked QR, so the per-block states match
-    running the blocks in isolation.  The per-block R products form an
-    (a_n, k_tilde, k_tilde) stack.  Exactly low-rank inputs leave trailing
-    R diagonals at roundoff level, which is harmless since Q R = Y still
-    holds; only a block whose whole iterate vanishes is an error.
+    is re-orthonormalized by cholesky_qr2, which writes Q over the product
+    and decides per block whether Householder QR factors it instead, so the
+    per-block states match running the blocks in isolation.  The per-block
+    R products form an (a_n, k_tilde, k_tilde) stack.  Exactly low-rank
+    inputs take the Householder path and leave trailing R diagonals at
+    roundoff level, which is harmless since Q R = Y still holds; only a
+    block whose whole iterate vanishes is an error.
     ``ops[0]`` is M_hat itself, which the extracted singular values are
     read from.
     """
@@ -167,8 +170,8 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde):
     for step, op in enumerate(ops, start=1):
         current = op @ current
         stack = current.reshape(current.shape[0], a_n, k_tilde).transpose(1, 0, 2)
-        scale = np.sqrt(np.einsum("aij,aij->a", stack, stack))  # per-block ||.||_F
-        q, r = signed_qr(stack)
+        q, r = cholesky_qr2(stack)  # Q overwrites the product in place
+        scale = np.sqrt(np.einsum("aij,aij->a", r, r))  # ||R||_F = ||Y||_F per block
         peak = np.max(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
         if np.any((scale == 0.0) | (peak <= _COLLAPSE_RCOND * scale)):
             raise RankDeficiencyError(
@@ -176,7 +179,6 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde):
                 iteration=step,
             )
         rprods = r if step == 1 else r @ rprods
-        stack[...] = q  # Q back into the product's buffer for the next multiply
         if step in snapshots:
             outputs[snapshots[step]] = _extract_output(ops[0], q, rprods, k)
     return outputs

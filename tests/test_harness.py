@@ -104,6 +104,17 @@ def test_plan_validation():
         small_rate_plan(kind="unknown")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("p", 1.5), ("p", 0.0), ("p", -0.2), ("p", float("nan")),
+    ("alpha", 1.0), ("alpha", 0.0), ("alpha", 2.0),
+])
+def test_load_plan_rejects_out_of_range_probabilities(key, value):
+    data = {"kind": "pca_sweep", "model_params": {"m": 50, key: value},
+            "n_grid": [40], "g_list": [1], "replicates": 2, "master_seed": 9}
+    with pytest.raises(ValueError, match=f"'{key}' must lie in"):
+        load_plan(data)
+
+
 def test_load_plan_roundtrip(tmp_path):
     data = {
         "kind": "recovery_table",

@@ -7,6 +7,7 @@ from rsvdlab.linalg import (
     SYM_EIG_MAX_N,
     RankDeficiencyError,
     _top_k,
+    cholesky_qr2,
     orthonormality_defect,
     qr_thin,
     signed_qr,
@@ -46,6 +47,108 @@ def test_qr_rank_deficiency_names_column():
     with pytest.raises(RankDeficiencyError) as err:
         qr_thin(a)
     assert err.value.column == 1
+
+
+# --- cholesky_qr2: batched CholeskyQR2 against Householder signed_qr ---
+
+BLOCK_KINDS = ("good", "zero", "rank", "kappa")
+
+
+def _block_of(kind, n, k, seed):
+    """An n x k block: Gaussian ("good"), zero, of rank below k, or
+    Q diag(s) (I + N) with s spanning more than the 1e6 cutoff ("kappa")."""
+    gen = RngStream(seed, 11).generator()
+    if kind == "good":
+        return gen.standard_normal((n, k))
+    if kind == "zero":
+        return np.zeros((n, k))
+    if kind == "rank":
+        r = int(gen.integers(1, k))
+        return gen.standard_normal((n, r)) @ gen.standard_normal((r, k))
+    q, _ = np.linalg.qr(gen.standard_normal((n, k)))
+    span = np.logspace(0.0, -gen.uniform(6.5, 12.0), k)
+    return q @ (span[:, None] * (np.eye(k) + np.triu(gen.uniform(-0.5, 0.5, (k, k)), 1)))
+
+
+def _as_chain_stack(blocks):
+    """The blocks side by side in one n x (a k) array, viewed as the
+    (a, n, k) stack the power chain factors."""
+    a, n, k = blocks.shape
+    return (np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, a * k)
+            .reshape(n, a, k).transpose(1, 0, 2))
+
+
+def _factor_recording_fallback(stack):
+    """cholesky_qr2 of a copy of ``stack``, and the stacks it handed to
+    signed_qr."""
+    seen = []
+
+    def recording(a):
+        seen.append(a.copy())
+        return signed_qr(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "signed_qr", recording)
+        q, r = cholesky_qr2(stack.copy())
+    return q, r, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 6), k=st.integers(1, 8), extra=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_cholesky_qr2_matches_householder(a, k, extra, seed):
+    blocks = np.stack([_block_of("good", 2 * k + extra, k, seed + b) for b in range(a)])
+    y = _as_chain_stack(blocks)
+    q, r, seen = _factor_recording_fallback(y)
+    q_h, r_h = signed_qr(y)
+    scale = np.linalg.norm(y, axis=(1, 2))[:, None, None]
+    assert len(seen) == 1 and seen[0].shape[0] == 0
+    assert np.max(np.abs(q - q_h)) <= 1e-12
+    assert np.max(np.abs(r - r_h) / scale) <= 1e-12
+    assert np.max(np.abs(q @ r - y) / scale) <= 1e-12
+    assert np.all(np.diagonal(r, axis1=1, axis2=2) >= 0.0)
+    assert np.array_equal(r, np.triu(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(BLOCK_KINDS[1:]), k=st.integers(2, 8),
+       extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_cholesky_qr2_ill_conditioned_blocks_take_householder(kind, k, extra, seed):
+    y = _block_of(kind, 2 * k + extra, k, seed)[None]
+    q, r, seen = _factor_recording_fallback(y)
+    q_h, r_h = signed_qr(y)
+    assert len(seen) == 1 and np.array_equal(seen[0], y)
+    assert np.array_equal(q, q_h) and np.array_equal(r, r_h)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cholesky_qr2_kahan_block_past_its_diagonal_ratio_takes_householder(seed):
+    # Kahan's R: diagonal span s^-9 = 3.4e5 is under the 1e6 cutoff, but
+    # kappa = 2.7e8; the Cholesky or the R_2 certificate must catch it
+    k, c = 10, 0.97
+    kahan = (np.sqrt(1 - c * c) ** np.arange(k))[:, None] * (
+        np.eye(k) - c * np.triu(np.ones((k, k)), 1))
+    q, _ = np.linalg.qr(gaussian_matrix(100, k, RngStream(seed, 12)))
+    y = (q @ kahan)[None]
+    q_c, r_c, seen = _factor_recording_fallback(y)
+    q_h, r_h = signed_qr(y)
+    assert len(seen) == 1
+    assert np.array_equal(q_c, q_h) and np.array_equal(r_c, r_h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=6),
+       k=st.integers(2, 6), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_cholesky_qr2_stack_equals_blocks_alone(kinds, k, extra, seed):
+    blocks = np.stack([_block_of(kind, 2 * k + extra, k, seed + b)
+                       for b, kind in enumerate(kinds)])
+    q, r, seen = _factor_recording_fallback(_as_chain_stack(blocks))
+    bad = [b for b, kind in enumerate(kinds) if kind != "good"]
+    # only the bad blocks, in one stack, go to Householder
+    assert len(seen) == 1 and np.array_equal(seen[0], blocks[bad])
+    for b in range(len(kinds)):
+        q_b, r_b = cholesky_qr2(blocks[b:b + 1].copy())
+        assert np.array_equal(q[b], q_b[0]) and np.array_equal(r[b], r_b[0])
 
 
 def test_svd_diagonal():
