@@ -3,7 +3,7 @@
 Repeated-sampling randomized SVD with power iterations, subspace
 distances, signal-plus-noise generators, downstream applications
 (spectral clustering, matrix completion with entrywise confidence
-intervals, missing-data PCA), closed-form reference quantities, and a
+intervals, missing-data PCA), closed-form predictions of the theory, and a
 deterministic Monte-Carlo experiment harness.
 """
 
@@ -11,7 +11,6 @@ from .rng import RngStream, gaussian_matrix, stable_hash64
 from .linalg import (
     RankDeficiencyError,
     SpectrumPair,
-    qr_thin,
     svd_thin,
     sym_eig,
 )
@@ -43,13 +42,7 @@ from .applications import (
     rsvd_missing_pca,
     rsvd_spectral_cluster,
 )
-from .theory import (
-    RateModel,
-    RateVerdict,
-    power_diff_expansion,
-    rate_exponent,
-    vstar_oracle,
-)
+from .theory import RateModel, RateVerdict, rate_exponent
 from .harness import (
     ExperimentPlan,
     ReplicateRecord,

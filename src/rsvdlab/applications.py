@@ -55,8 +55,7 @@ def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
     permutation-invariant recovery flag and error rate.
     """
     a = as_matrix(a, "adjacency")
-    vals = np.unique(a)
-    if not np.all(np.isin(vals, (0.0, 1.0))):
+    if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError("adjacency must be binary")
     out = rs_rsvd_sym(a, cfg)
     tau_hat = cluster_rows(out.u_hat_g, n_clusters,

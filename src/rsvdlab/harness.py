@@ -26,9 +26,10 @@ from .applications import (
     missing_pca_gram,
 )
 from .clustering import cluster_rows
-from .linalg import sym_eig
+from .linalg import as_matrix, sym_eig
 from .mmio import write_csv
 from .models import (
+    check_sbm,
     gen_completion,
     gen_edm,
     gen_missing_pca,
@@ -61,8 +62,8 @@ class ExperimentPlan:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         grid = tuple(self.n_grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be nonempty and strictly increasing")
+        if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("n_grid must be nonempty, positive and strictly increasing")
         if not self.g_list:
             raise ValueError("g_list must be nonempty")
         if self.parallelism < 1:
@@ -73,6 +74,14 @@ class ExperimentPlan:
         if "alpha" in params and not 0.0 < float(params["alpha"]) < 1.0:
             raise ValueError(f"model_params 'alpha' must lie in (0, 1), "
                              f"got {params['alpha']!r}")
+        k_tilde = params.get("k_tilde", 12)
+        if not isinstance(k_tilde, (int, np.integer)) or k_tilde < 1:
+            raise ValueError(f"model_params 'k_tilde' must be an integer >= 1, "
+                             f"got {k_tilde!r}")
+        for n in grid:
+            resolve_a_n(params.get("a_n", "ceil_log"), n)
+            if self.kind in _SBM_KINDS:
+                check_sbm(n, *_sbm_params(params, n))
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "g_list", tuple(self.g_list))
 
@@ -115,11 +124,12 @@ def _rho(params, n):
     return c * float(n) ** expo
 
 
-def _sbm_from(params, n, stream):
-    b = np.asarray(params.get("b", _DEFAULT_B), dtype=np.float64)
+def _sbm_params(params, n):
+    """The plan's (B, pi, rho(n), d) for gen_sbm at size n."""
+    b = as_matrix(params.get("b", _DEFAULT_B), "B")
     pi = np.asarray(params.get("pi", [1.0 / b.shape[0]] * b.shape[0]))
     d = int(params.get("d", b.shape[0]))
-    return gen_sbm(n, b, pi, _rho(params, n), d, stream.child("model"))
+    return b, pi, _rho(params, n), d
 
 
 def _chain(m_hat, params, n, g_list, stream, k):
@@ -132,7 +142,7 @@ def _chain(m_hat, params, n, g_list, stream, k):
 
 
 def _run_rate_regression(params, n, g_list, stream):
-    inst = _sbm_from(params, n, stream)
+    inst = gen_sbm(n, *_sbm_params(params, n), stream.child("model"))
     outputs = _chain(inst.a, params, n, g_list, stream, k=inst.u.shape[1])
     metrics = {}
     for g, out in outputs.items():
@@ -143,7 +153,7 @@ def _run_rate_regression(params, n, g_list, stream):
 
 
 def _run_recovery_table(params, n, g_list, stream):
-    inst = _sbm_from(params, n, stream)
+    inst = gen_sbm(n, *_sbm_params(params, n), stream.child("model"))
     d = inst.u.shape[1]
     n_clusters = int(params.get("n_clusters", d))
     clusterer = params.get("clusterer", "kmedians")
@@ -160,10 +170,10 @@ def _run_recovery_table(params, n, g_list, stream):
 
 def _run_clt_coverage(params, n, g_list, stream):
     alpha = float(params.get("alpha", 0.05))
-    inst = _sbm_from(params, n, stream)
+    inst = gen_sbm(n, *_sbm_params(params, n), stream.child("model"))
     beta = 1.0 + float(params.get("rho_exponent", 0.0))
     k = inst.u.shape[1]
-    gammas = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, beta)
+    gammas = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, beta)
     scale2 = float(n) ** (1.0 + beta)
     outputs = _chain(inst.a, params, n, g_list, stream, k=k)
     metrics = {}
@@ -285,6 +295,7 @@ def _run_edm_completion(params, n, g_list, stream):
     return metrics
 
 
+_SBM_KINDS = ("rate_regression", "recovery_table", "clt_coverage")
 _RUNNERS = {
     "rate_regression": _run_rate_regression,
     "recovery_table": _run_recovery_table,

@@ -1,11 +1,11 @@
 """Dense decompositions and input checks used by every other module.
 
-Thin QR, thin SVD, and the symmetric eigensolver are LAPACK-backed (via
+Signed QR, thin SVD, and the symmetric eigensolver are LAPACK-backed (via
 numpy) but wrapped with the conventions the rest of the package relies
-on: validated finite input, deterministic sign conventions, magnitude
-ordering for eigenvalues, and explicit rank-deficiency errors.  Stacks of
-tall blocks are factored by a batched CholeskyQR2 that hands each block
-too ill-conditioned for it to the Householder QR.
+on: validated finite input, deterministic sign conventions and magnitude
+ordering for eigenvalues.  Stacks of tall blocks are factored by a
+batched CholeskyQR2 that hands each block too ill-conditioned for it to
+the Householder QR.
 """
 
 from typing import NamedTuple
@@ -22,7 +22,6 @@ SYM_EIG_TOPK_MIN_N = 350  # sym_eig(s, k) keeps eigh up to this n, where eigh is
 _TOPK_RTOL = 1e-10        # Ritz residual, relative to |theta_1|, that certifies a top-k pair
 _TOPK_STREAM = RngStream(0x5EED)  # start blocks of the top-k path; no plan draws from it
 ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
-_QR_RCOND = 1e-12         # smallest R diagonal, relative to ||A||_F, qr_thin accepts
 _CHOLQR_MAX_RATIO = 1e6   # widest R_1 diagonal span (max / min) cholesky_qr2 accepts
 _CHOLQR_R2_TOL = 1e-2     # largest |R_2 - I| entry cholesky_qr2 accepts
 _SIGN_TOL = 1e-8          # entries below this fraction of a column's peak skip the sign rule
@@ -32,13 +31,12 @@ _TILE = 128               # side of the tiles in which square n x n passes touch
 class RankDeficiencyError(ValueError):
     """Raised when a factorization meets a numerically rank-deficient input.
 
-    ``column`` is the 0-based offending column (QR), ``iteration`` the
-    1-based power-iteration step (sketching), when known.
+    ``iteration`` is the 1-based power-iteration step (sketching), when
+    known.
     """
 
-    def __init__(self, message, column=None, iteration=None):
+    def __init__(self, message, iteration=None):
         super().__init__(message)
-        self.column = column
         self.iteration = iteration
 
 
@@ -180,29 +178,6 @@ def cholesky_qr2(y):
     r = r2 @ r1
     y[~ok], r[~ok] = q_bad, r_bad
     return y, r
-
-
-def qr_thin(a):
-    """Thin QR with nonnegative R diagonal.
-
-    Raises RankDeficiencyError (with the offending column index) when a
-    diagonal entry of R falls below 1e-12 times the Frobenius norm of the
-    input.
-    """
-    a = as_matrix(a, "QR input")
-    rows, cols = a.shape
-    if rows < cols:
-        raise ValueError(f"QR input must be tall, got {rows}x{cols}")
-    q, r = signed_qr(a)
-    scale = float(np.linalg.norm(a))
-    bad = np.flatnonzero(np.abs(np.diagonal(r)) <= _QR_RCOND * scale)
-    if bad.size:
-        j = int(bad[0])
-        raise RankDeficiencyError(
-            f"rank-deficient QR input: R[{j},{j}] below {_QR_RCOND:g} * ||A||_F",
-            column=j,
-        )
-    return q, r
 
 
 def svd_thin(y):

@@ -4,12 +4,10 @@ Each generator returns the observation together with its ground truth
 (leading eigenpairs of the signal matrix), so experiments can measure
 subspace errors without re-factorizing the signal.  Block-structured
 signals get their eigenpairs from the small block core, which is exact
-and avoids an n x n eigensolve; the SBM's n x n edge probabilities are
-formed only when first read.
+and avoids an n x n eigensolve.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,14 +22,8 @@ class SbmInstance:
     a: np.ndarray        # adjacency, symmetric binary
     core: np.ndarray     # K x K edge-probability core rho * B
     tau: np.ndarray      # community labels in [0, K)
-    u: np.ndarray        # leading d eigenvectors of p_mat
+    u: np.ndarray        # leading d eigenvectors of core[tau_i, tau_j]
     lam: np.ndarray      # matching eigenvalues, descending |.|
-
-    @cached_property
-    def p_mat(self) -> np.ndarray:
-        """n x n edge probabilities core[tau_i, tau_j], computed on first access."""
-        k = self.core.shape[0]
-        return np.take(self.core, self.tau[:, None] * k + self.tau[None, :])
 
 
 @dataclass
@@ -124,12 +116,8 @@ def _block_eigenpairs(labels, core, n_blocks):
     return vals, _fix_column_signs(u)
 
 
-def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
-    """Sample a K-block stochastic blockmodel graph with sparsity rho.
-
-    Labels are iid from pi; edges (diagonal included) are independent
-    Bernoulli(rho * B[tau_i, tau_j]), mirrored below the diagonal.
-    """
+def check_sbm(n, b, pi, rho, d):
+    """Validate blockmodel parameters; returns (B, pi) as float arrays."""
     b = as_matrix(b, "B")
     k_blocks = b.shape[0]
     if b.shape[1] != k_blocks:
@@ -149,7 +137,17 @@ def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
         raise ValueError(f"embedding dimension d must lie in [1, {k_blocks}]")
     if n < 1:
         raise ValueError("n must be positive")
+    return b, pi
 
+
+def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
+    """Sample a K-block stochastic blockmodel graph with sparsity rho.
+
+    Labels are iid from pi; edges (diagonal included) are independent
+    Bernoulli(rho * B[tau_i, tau_j]), mirrored below the diagonal.
+    """
+    b, pi = check_sbm(n, b, pi, rho, d)
+    k_blocks = b.shape[0]
     gen = stream.generator()
     cum = np.cumsum(pi)
     tau = np.minimum(np.searchsorted(cum, gen.random(n), side="right"), k_blocks - 1)

@@ -1,11 +1,13 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the library's own code paths: a cyclic Jacobi
-eigensolver, a naive multi-pass repeated sketch, the blockmodel CLT
-covariance one row at a time, a dense grid search over 2x2 orthogonal
-alignments, the sin-theta distance from principal angles, the dense
-whole-matrix forms of the passes that the package streams in tiles, row
-blocks and chunks, and the line-by-line Matrix Market reader and
+eigensolver, a naive multi-pass repeated sketch, the term-by-term noise
+expansion of powered-matrix differences (C2), the blockmodel CLT
+covariance one row at a time from the n x n edge probabilities, the
+oracle entry variance for completion (C7), a dense grid search over 2x2
+orthogonal alignments, the sin-theta distance from principal angles, the
+dense whole-matrix forms of the passes that the package streams in tiles,
+row blocks and chunks, and the line-by-line Matrix Market reader and
 value-by-value writer that the package's vectorized ones replace.
 """
 
@@ -72,6 +74,40 @@ def naive_repeated_sketch(m_hat, g_star, k, k_tilde, a_n, g, rectangular=False):
     return best
 
 
+def power_diff_expansion(m_hat, m, g):
+    """Evaluate M_hat^g - M^g through its noise expansion.
+
+    With E = M_hat - M the difference equals
+        E^g
+        + sum_{xi=0}^{g-2} sum_{l=0}^{g-2-xi} M_hat^l E M^{g-1-xi-l} E^xi
+        + sum_{xi=0}^{g-2} M^{g-1-xi} E^{xi+1},
+    evaluated term by term (no cancellation tricks), so it serves as an
+    independent check of anything that manipulates matrix powers.
+    """
+    if g < 2:
+        raise ValueError("g must be >= 2 (g = 1 reduces to E itself)")
+    n = m.shape[0]
+    e = m_hat - m
+
+    def powers(base, top):
+        out = [np.eye(n)]
+        for _ in range(top):
+            out.append(out[-1] @ base)
+        return out
+
+    mh_pow = powers(m_hat, g)
+    m_pow = powers(m, g)
+    e_pow = powers(e, g)
+
+    total = e_pow[g].copy()
+    for xi in range(0, g - 1):
+        for ell in range(0, g - 1 - xi):
+            total += mh_pow[ell] @ e @ m_pow[g - 1 - xi - ell] @ e_pow[xi]
+    for xi in range(0, g - 1):
+        total += m_pow[g - 1 - xi] @ e_pow[xi + 1]
+    return total
+
+
 def clt_gamma_row(p_mat, u, lam, beta, i):
     """Row i of the blockmodel CLT covariance, written out for one row:
     n^(1+beta) * L^-1 (sum_j m_ij (1 - m_ij) u_j u_j^T) L^-1, L = diag(lam)."""
@@ -81,6 +117,25 @@ def clt_gamma_row(p_mat, u, lam, beta, i):
     inv_lam = 1.0 / lam
     gamma = float(n) ** (1.0 + beta) * (inv_lam[:, None] * inner * inv_lam[None, :])
     return (gamma + gamma.T) / 2.0
+
+
+def vstar_oracle(t, u, p, sigma, i, j):
+    """Oracle variance of [Z E]_ij + [E Z]_ij with Z = U U^T and
+    E = p^-1 Omega o (T + N) - T.
+
+    v*_ij = p^-1 sum_{l != j} {(1-p) T_il^2 + s^2} z_lj^2
+          + p^-1 sum_{l != i} {(1-p) T_lj^2 + s^2} z_il^2
+          + p^-1 {(1-p) T_ij^2 + s^2} (z_ii + z_jj)^2.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
+    zeta = u @ u.T
+    z2 = zeta * zeta
+    var_e = ((1.0 - p) * t * t + sigma * sigma) / p
+    v = float(var_e[i, :] @ z2[:, j]) - var_e[i, j] * z2[j, j]
+    v += float(var_e[:, j] @ z2[i, :]) - var_e[i, j] * z2[i, i]
+    v += var_e[i, j] * (zeta[i, i] + zeta[j, j]) ** 2
+    return float(v)
 
 
 def grid_min_spectral_residual(u1, u2, samples=5000):

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from rsvdlab.harness import emit_csv, load_plan, rate_slopes, run_plan
-from rsvdlab.linalg import qr_thin
+from rsvdlab.linalg import signed_qr
 from rsvdlab.models import gen_completion, symmetric_bernoulli, symmetric_gaussian
 from rsvdlab.rng import RngStream, standard_normal
 from rsvdlab.sketch import SketchConfig, rs_rsvd_sym_chain
 from rsvdlab.subspace import procrustes_align
-from rsvdlab.theory import power_diff_expansion, vstar_oracle
+
+from _oracles import power_diff_expansion, vstar_oracle
 
 
 def bundled_plan(name):
@@ -51,7 +52,7 @@ def test_c1_pure_signal_exactness():
         stream = RngStream(112233, idx)
         gen = stream.child("instance").generator()
         k = (1, 3, 5)[idx % 3]
-        basis = qr_thin(standard_normal(gen, (n, k)))[0]
+        basis = signed_qr(standard_normal(gen, (n, k)))[0]
         signs = np.where(gen.random(k) < 0.5, -1.0, 1.0)
         lam = (1.0 + 2.0 * gen.random(k)) * signs
         m = (basis * lam) @ basis.T

@@ -16,7 +16,8 @@ from rsvdlab.models import gen_completion, gen_missing_pca, gen_sbm
 from rsvdlab.rng import RngStream
 from rsvdlab.sketch import SketchConfig
 from rsvdlab.subspace import procrustes_align
-from rsvdlab.theory import vstar_oracle
+
+from _oracles import vstar_oracle
 
 
 def cfg_for(stream, k=2, k_tilde=6, a_n=2, g=2):

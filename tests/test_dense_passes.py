@@ -1,7 +1,8 @@
 """The n x n passes around the power chain and the normal draws, streamed
 in tiles, row blocks and chunks, against the dense whole-matrix forms they
 replace: same floats (signs of zero included), same draws, and no
-temporary of the output's size besides the output."""
+temporary of the output's size besides the output.  The blockmodel CLT
+covariance, which needs no n x n array at all, is held to a fraction of one."""
 
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from rsvdlab.models import (_homogeneous_core, gen_completion, gen_missing_pca, 
 from rsvdlab.rng import _CHUNK, RngStream, standard_normal
 from rsvdlab.sketch import _check_symmetric
 from rsvdlab.stats import inv_norm_cdf
+from rsvdlab.theory import clt_gamma_sbm_all
 
 from _oracles import (dense_inv_norm_cdf, dense_missing_pca_obs, dense_standard_normal,
                       dense_symmetric_bernoulli, dense_symmetric_gaussian,
@@ -101,7 +103,6 @@ def test_gen_sbm_matches_dense_path(n, rho):
     gen = stream.generator()
     gen.random(n)  # the label draw
     p_mat = eager_p_mat(rho * B0, inst.tau)
-    assert np.array_equal(inst.p_mat, p_mat)
     assert np.array_equal(inst.a, dense_symmetric_bernoulli(n, p_mat, gen))
 
 
@@ -248,3 +249,13 @@ def test_gen_completion_holds_signal_mask_and_observation(sigma):
     assert peak <= 3.25 * FULL, (
         f"models.gen_completion peak {peak / 2**20:.1f} MiB exceeds 3.25 x the "
         f"{FULL / 2**20:.0f} MiB n x n matrix")
+
+
+def test_clt_gamma_sbm_all_allocates_no_n_by_n_array():
+    # the (n, k, k) result and O(nK) label work; the n x n edge-probability
+    # form peaked at about 2 x FULL
+    inst = gen_sbm(N_MEM, B0, [0.5, 0.5], 1.0, 2, RngStream(62, 2))
+    peak = _traced_peak(clt_gamma_sbm_all, inst.core, inst.tau, inst.u, inst.lam, 1.0)
+    assert peak <= 0.1 * FULL, (
+        f"theory.clt_gamma_sbm_all peak {peak / 2**20:.2f} MiB exceeds 0.1 x "
+        f"the {FULL / 2**20:.0f} MiB n x n matrix")

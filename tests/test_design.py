@@ -1,0 +1,55 @@
+"""Design checks on the package source itself.
+
+Every public top-level function or class in ``src/rsvdlab`` must be used by
+the package: a name that only tests call is a test reference and belongs in
+``tests/_oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import rsvdlab
+
+SRC = Path(rsvdlab.__file__).parent
+
+ALLOWED = {
+    "main",            # the console script's entry point
+    # rate predictions and per-replicate slopes that the acceptance suite
+    # reads; ROADMAP item 2 gives them a caller in `rsvdlab experiment`
+    "rate_exponent",
+    "rate_slopes",
+}
+
+
+def _public_definitions(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _used_names(tree):
+    """Names loaded or attributes read anywhere in the module, except a
+    top-level definition's mentions of its own name."""
+    used = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                used.add(name)
+    return used
+
+
+def test_no_public_name_is_only_used_by_tests():
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in _public_definitions(tree):
+            defined[name] = path.name
+        used |= _used_names(tree)
+    unused = sorted(f"{defined[name]}:{name}" for name in set(defined) - used - ALLOWED)
+    assert not unused, f"public names no module of the package uses: {unused}"
+    assert ALLOWED <= set(defined), "an allowlisted name no longer exists"

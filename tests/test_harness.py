@@ -98,6 +98,8 @@ def test_failures_become_error_rows():
 def test_plan_validation():
     with pytest.raises(ValueError):
         small_rate_plan(n_grid=(200, 100))
+    with pytest.raises(ValueError, match="positive"):
+        small_rate_plan(n_grid=(0, 100, 200))
     with pytest.raises(ValueError):
         small_rate_plan(replicates=0)
     with pytest.raises(ValueError):
@@ -112,6 +114,28 @@ def test_load_plan_rejects_out_of_range_probabilities(key, value):
     data = {"kind": "pca_sweep", "model_params": {"m": 50, key: value},
             "n_grid": [40], "g_list": [1], "replicates": 2, "master_seed": 9}
     with pytest.raises(ValueError, match=f"'{key}' must lie in"):
+        load_plan(data)
+
+
+@pytest.mark.parametrize("kind,params,message", [
+    ("recovery_table", {"rho_c": 2.0}, r"need rho in \[0, 1\] with rho \* max\(B\) <= 1"),
+    # rho(n) = 0.08 sqrt(n) stays within [0, 1] at n = 100 but not at 200
+    ("rate_regression", {"rho_c": 0.08, "rho_exponent": 0.5}, "need rho in"),
+    ("rate_regression", {"b": [[1.5, 0.3], [0.3, 0.8]]}, r"B entries must lie in \[0, 1\]"),
+    ("recovery_table", {"b": 0.5}, "B must be 2-dimensional"),
+    ("clt_coverage", {"b": [[0.8, 0.3], [0.2, 0.8]]}, "B must be symmetric"),
+    ("recovery_table", {"pi": [0.7, 0.7]}, "pi must be nonnegative and sum to 1"),
+    ("clt_coverage", {"d": 3}, r"embedding dimension d must lie in \[1, 2\]"),
+    ("recovery_table", {"k_tilde": 0}, "'k_tilde' must be an integer >= 1"),
+    ("pca_sweep", {"k_tilde": 2.5}, "'k_tilde' must be an integer >= 1"),
+    ("edm_completion", {"a_n": "ceil_sqrt"}, "a_n rule must be"),
+    ("ci_coverage", {"a_n": 0}, "a_n rule must be"),
+])
+def test_load_plan_rejects_invalid_model_params(kind, params, message):
+    # each of these used to load and then fail every replicate at run time
+    data = {"kind": kind, "model_params": params, "n_grid": [100, 200],
+            "g_list": [1], "replicates": 3, "master_seed": 9}
+    with pytest.raises(ValueError, match=message):
         load_plan(data)
 
 

@@ -5,11 +5,9 @@ import pytest
 from rsvdlab import linalg
 from rsvdlab.linalg import (
     SYM_EIG_MAX_N,
-    RankDeficiencyError,
     _top_k,
     cholesky_qr2,
     orthonormality_defect,
-    qr_thin,
     signed_qr,
     svd_thin,
     sym_eig,
@@ -19,15 +17,9 @@ from rsvdlab.rng import RngStream, gaussian_matrix
 from _oracles import jacobi_eigenvalues
 
 
-def test_qr_identity():
-    q, r = qr_thin(np.eye(3))
-    assert np.allclose(q, np.eye(3), atol=1e-14)
-    assert np.allclose(r, np.eye(3), atol=1e-14)
-
-
 def test_qr_random_tall():
     a = gaussian_matrix(4, 2, RngStream(1, 1))
-    q, r = qr_thin(a)
+    q, r = signed_qr(a)
     assert orthonormality_defect(q) <= 1e-12
     assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
     assert np.all(np.diag(r) >= 0.0)
@@ -36,17 +28,10 @@ def test_qr_random_tall():
     stack = gaussian_matrix(3 * 7, 3, RngStream(1, 2)).reshape(3, 7, 3)
     q_s, r_s = signed_qr(stack)
     for b in range(3):
-        q_b, r_b = qr_thin(stack[b])
+        q_b, r_b = signed_qr(stack[b])
         assert np.max(np.abs(q_s[b] - q_b)) <= 1e-13
         assert np.max(np.abs(r_s[b] - r_b)) <= 1e-13
         assert np.all(np.diagonal(r_s[b]) >= 0.0)
-
-
-def test_qr_rank_deficiency_names_column():
-    a = np.array([[3.0, 0.0], [4.0, 0.0]])
-    with pytest.raises(RankDeficiencyError) as err:
-        qr_thin(a)
-    assert err.value.column == 1
 
 
 # --- cholesky_qr2: batched CholeskyQR2 against Householder signed_qr ---
@@ -242,9 +227,6 @@ def test_reconstruction_property_many_instances():
 
 def test_non_finite_rejected():
     bad = np.ones((3, 3))
-    bad[1, 1] = np.nan
-    with pytest.raises(ValueError):
-        qr_thin(bad)
     bad[1, 1] = np.inf
     with pytest.raises(ValueError):
         svd_thin(bad)

@@ -12,11 +12,13 @@ from rsvdlab.models import (
 from rsvdlab.rng import RngStream
 from rsvdlab.subspace import procrustes_align
 
+from _oracles import eager_p_mat
+
 B0 = [[0.8, 0.3], [0.3, 0.8]]
 
 
 def reconstruction_rel_err(inst):
-    signal = inst.p_mat if hasattr(inst, "p_mat") else inst.t
+    signal = eager_p_mat(inst.core, inst.tau) if hasattr(inst, "core") else inst.t
     recon = (inst.u * inst.lam) @ inst.u.T
     return np.linalg.norm(recon - signal) / max(np.linalg.norm(signal), 1e-300)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rsvdlab.applications import _reconstruct, rsvd_complete
-from rsvdlab.linalg import RankDeficiencyError, orthonormality_defect, qr_thin, svd_thin, sym_eig
+from rsvdlab.linalg import RankDeficiencyError, orthonormality_defect, signed_qr, svd_thin, sym_eig
 from rsvdlab.models import gen_sbm, symmetric_gaussian
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
 from rsvdlab.sketch import (
@@ -23,7 +23,7 @@ from _oracles import naive_block_svds, naive_repeated_sketch
 
 def rank_k_symmetric(n, k, seed, lam=None):
     gen = RngStream(808, seed).generator()
-    basis = qr_thin(standard_normal(gen, (n, k)))[0]
+    basis = signed_qr(standard_normal(gen, (n, k)))[0]
     if lam is None:
         lam = 1.0 + 2.0 * gen.random(k)
     return (basis * lam) @ basis.T, basis, np.asarray(lam, dtype=np.float64)
@@ -272,8 +272,8 @@ def test_asym_diagonal_like():
 
 def test_asym_pure_signal_exact():
     gen = RngStream(41, 1).generator()
-    left = qr_thin(standard_normal(gen, (15, 3)))[0]
-    right = qr_thin(standard_normal(gen, (9, 3)))[0]
+    left = signed_qr(standard_normal(gen, (15, 3)))[0]
+    right = signed_qr(standard_normal(gen, (9, 3)))[0]
     m = (left * np.array([4.0, 2.5, 1.5])) @ right.T
     for g in (1, 2):
         cfg = SketchConfig(k=3, k_tilde=4, a_n=2, g=g, stream=RngStream(41, 2 + g))
@@ -283,12 +283,12 @@ def test_asym_pure_signal_exact():
 
 def test_asym_noisy_error_decreases_with_g():
     gen = RngStream(41, 9).generator()
-    left = qr_thin(standard_normal(gen, (40, 2)))[0]
-    right = qr_thin(standard_normal(gen, (25, 2)))[0]
+    left = signed_qr(standard_normal(gen, (40, 2)))[0]
+    right = signed_qr(standard_normal(gen, (25, 2)))[0]
     m = (left * np.array([6.0, 4.0])) @ right.T
     m_hat = m + 0.35 * standard_normal(gen, (40, 25))
     u_exact = svd_thin(m_hat)[0][:, :2]
-    base_q = qr_thin(m_hat @ gaussian_matrix(25, 3, RngStream(41, 10)))[0]
+    base_q = signed_qr(m_hat @ gaussian_matrix(25, 3, RngStream(41, 10)))[0]
     base_u = svd_thin(base_q @ (base_q.T @ m_hat))[0][:, :2]
     cfg = SketchConfig(k=2, k_tilde=3, a_n=2, g=3, stream=RngStream(41, 11))
     out = rs_rsvd_asym(m_hat, cfg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsvdlab.linalg import qr_thin
+from rsvdlab.linalg import signed_qr
 from rsvdlab.rng import RngStream, gaussian_matrix
 from rsvdlab.subspace import procrustes_align
 
@@ -10,7 +10,7 @@ from _oracles import grid_min_spectral_residual, sin_theta_norm
 
 
 def random_basis(n, k, seed):
-    q, _ = qr_thin(gaussian_matrix(n, k, RngStream(404, seed)))
+    q, _ = signed_qr(gaussian_matrix(n, k, RngStream(404, seed)))
     return q
 
 

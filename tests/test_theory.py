@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsvdlab.linalg import qr_thin
+from rsvdlab.linalg import signed_qr
 from rsvdlab.models import gen_sbm, symmetric_bernoulli, symmetric_gaussian
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
-from rsvdlab.theory import (
-    RateModel,
-    clt_gamma_sbm_all,
-    power_diff_expansion,
-    rate_exponent,
-    vstar_oracle,
-)
+from rsvdlab.theory import RateModel, clt_gamma_sbm_all, rate_exponent
 
-from _oracles import clt_gamma_row
+# the reference oracles of C2 and C7 are checked here next to the theory
+from _oracles import clt_gamma_row, eager_p_mat, power_diff_expansion, vstar_oracle
 
 B0 = [[0.8, 0.3], [0.3, 0.8]]
 
@@ -94,23 +89,32 @@ class TestRateExponent:
 class TestCltGamma:
     def test_single_block_exchangeable(self):
         inst = gen_sbm(60, [[0.6]], [1.0], 1.0, 1, RngStream(51, 0))
-        gammas = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, 1.0)
+        gammas = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, 1.0)
         for g in gammas[1:]:
             assert np.max(np.abs(g - gammas[0])) <= 1e-10 * max(1.0, np.max(np.abs(gammas[0])))
 
     def test_symmetric_psd(self):
         inst = gen_sbm(80, B0, [0.5, 0.5], 0.9, 2, RngStream(51, 1))
-        gammas = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, 1.0)
+        gammas = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, 1.0)
         for i in (0, 17, 79):
             gamma = gammas[i]
             assert np.array_equal(gamma, gamma.T)
             assert np.min(np.linalg.eigvalsh(gamma)) >= -1e-12
 
-    def test_batch_matches_single(self):
-        inst = gen_sbm(40, B0, [0.5, 0.5], 0.8, 2, RngStream(51, 2))
-        gammas = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, 1.0)
+    @pytest.mark.parametrize("b,pi,d", [
+        ([[0.6]], [1.0], 1),
+        (B0, [0.5, 0.5], 2),
+        ([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.9]], [0.3, 0.3, 0.4], 3),
+        ([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.9]], [0.3, 0.3, 0.4], 2),
+        ([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.9]], [0.5, 0.0, 0.5], 2),
+    ], ids=["K1", "K2", "K3", "K3-d2", "K3-empty-block"])
+    def test_batch_matches_single(self, b, pi, d):
+        # the block-core form against the row-by-row sum over n x n probabilities
+        inst = gen_sbm(40, b, pi, 0.8, d, RngStream(51, 2))
+        gammas = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, 1.0)
+        p_mat = eager_p_mat(inst.core, inst.tau)
         for i in (0, 13, 39):
-            single = clt_gamma_row(inst.p_mat, inst.u, inst.lam, 1.0, i)
+            single = clt_gamma_row(p_mat, inst.u, inst.lam, 1.0, i)
             assert np.allclose(gammas[i], single, atol=1e-12)
 
     def test_monte_carlo_covariance(self):
@@ -118,22 +122,30 @@ class TestCltGamma:
         n, beta = 200, 1.0
         inst = gen_sbm(n, B0, [0.5, 0.5], 1.0, 2, RngStream(51, 3))
         i = 7
-        gamma = clt_gamma_sbm_all(inst.p_mat, inst.u, inst.lam, beta)[i]
+        gamma = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, beta)[i]
         scale = float(n) ** ((1.0 + beta) / 2.0)
         rows = np.empty((5000, 2))
         inv_lam = 1.0 / inst.lam
+        p_row = inst.core[inst.tau[i], inst.tau]
         for draw in range(5000):
             gen = RngStream(51, 100 + draw).generator()
-            a = symmetric_bernoulli(n, inst.p_mat, gen)
-            e_row = a[i, :] - inst.p_mat[i, :]
+            a = symmetric_bernoulli(n, (inst.core, inst.tau), gen)
+            e_row = a[i, :] - p_row
             rows[draw] = scale * (e_row @ inst.u) * inv_lam
         emp = np.cov(rows.T)
         assert np.max(np.abs(emp - gamma)) <= 0.10 * np.max(np.abs(gamma))
 
     def test_zero_eigenvalue_rejected(self):
-        u = qr_thin(gaussian_matrix(10, 2, RngStream(51, 4)))[0]
-        with pytest.raises(ValueError):
-            clt_gamma_sbm_all(np.full((10, 10), 0.5), u, np.array([1.0, 0.0]), 1.0)
+        u = signed_qr(gaussian_matrix(10, 2, RngStream(51, 4)))[0]
+        with pytest.raises(ValueError, match="eigenvalues must be nonzero"):
+            clt_gamma_sbm_all(np.full((1, 1), 0.5), np.zeros(10, dtype=int), u,
+                              np.array([1.0, 0.0]), 1.0)
+
+    def test_label_shape_checked(self):
+        u = signed_qr(gaussian_matrix(10, 2, RngStream(51, 5)))[0]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            clt_gamma_sbm_all(np.full((2, 2), 0.5), np.zeros(9, dtype=int), u,
+                              np.ones(2), 1.0)
 
 
 class TestVstarOracle:
