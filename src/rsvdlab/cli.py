@@ -343,8 +343,10 @@ def cmd_experiment(args):
         plan = load_plan(json.loads(location.read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid plan JSON: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"plan is missing required fields: {exc}") from exc
+    except KeyError as exc:
+        raise UsageError(f"plan is missing required field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise UsageError(f"invalid plan field: {exc}") from exc
     parallelism = plan.parallelism if args.parallel is None else args.parallel
     plan = replace(plan, parallelism=parallelism,
                    master_seed=_resolve_seed(plan.master_seed))

@@ -1,3 +1,4 @@
+from importlib import resources
 import json
 import sys
 
@@ -339,6 +340,29 @@ class TestExperiment:
         path.write_text("{not json")
         assert run_cli("experiment", "--plan", str(path),
                        "--out", str(tmp_path / "o")) == 2
+
+    def _small_plan(self, tmp_path, edit):
+        plan = json.loads(resources.files("rsvdlab").joinpath(
+            "plans", "recovery_table_small.json").read_text())
+        edit(plan)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        return path
+
+    def test_missing_plan_key_is_named(self, tmp_path, capsys):
+        path = self._small_plan(tmp_path, lambda plan: plan.pop("kind"))
+        assert run_cli("experiment", "--plan", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+        assert "plan is missing required field 'kind'" in capsys.readouterr().err
+
+    def test_wrong_typed_plan_value_is_invalid_not_missing(self, tmp_path, capsys):
+        path = self._small_plan(tmp_path,
+                                lambda plan: plan["model_params"].update(d=None))
+        assert run_cli("experiment", "--plan", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "error: invalid plan field: " in err and "NoneType" in err
+        assert "missing" not in err
 
     def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RSVDLAB_SEED", "abc")

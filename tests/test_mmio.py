@@ -4,7 +4,9 @@ import scipy.io
 import scipy.sparse
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rsvdlab.mmio import _CHUNK, read_matrix_market, write_csv, write_matrix_market
+from rsvdlab import mmio
+from rsvdlab.mmio import (_CHUNK, _format_17g, _scaled, read_matrix_market, write_csv,
+                         write_matrix_market)
 from rsvdlab.rng import RngStream, gaussian_matrix
 
 from _oracles import line_loop_read_matrix_market, line_loop_write_matrix_market
@@ -68,9 +70,9 @@ def test_csv_writer_format(tmp_path):
     path = tmp_path / "out.csv"
     value = 0.1234567890123456789
     write_csv(path, ("name", "value"), [("row", value)])
-    text = path.read_text()
-    assert text.endswith("\n") and "\r" not in text
-    header, row = text.strip().split("\n")
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data
+    header, row = data.decode().strip().split("\n")
     assert header == "name,value"
     assert float(row.split(",")[1]) == value
 
@@ -197,6 +199,106 @@ def test_writer_bytes_equal_oracle_across_chunks(tmp_path):
     line_loop_write_matrix_market(tmp_path / "old.mm", a)
     assert (tmp_path / "new.mm").read_bytes() == (tmp_path / "old.mm").read_bytes()
     assert _same_matrix(read_matrix_market(tmp_path / "new.mm"), a)
+
+
+# --- the vectorized '%.17g' formatter against Python's own
+
+def _percent_17g(values):
+    return "".join("%.17g\n" % v for v in np.asarray(values).tolist()).encode("ascii")
+
+
+def _assert_formats_like_percent(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert _format_17g(values).tobytes() == _percent_17g(values)
+
+
+_finite_bit_patterns = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64))).filter(np.isfinite)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_finite_bit_patterns, min_size=1, max_size=50))
+def test_formatter_equals_percent_on_raw_bit_patterns(values):
+    _assert_formats_like_percent(values)
+
+
+def _powers_of_ten_and_neighbours():
+    p = 10.0 ** np.arange(-300, 301)
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+def _completion_values():
+    gen = np.random.default_rng(13)
+    basis = np.linalg.qr(gen.standard_normal((300, 3)))[0]
+    truth = (basis * (300 * np.linspace(1.0, 0.6, 3))) @ basis.T
+    return (truth + 0.1 * gen.standard_normal((300, 300))).ravel()
+
+
+def _random_bit_patterns():
+    bits = np.random.default_rng(14).integers(0, 2 ** 64, 100_000, dtype=np.uint64,
+                                              endpoint=False)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def _integers():
+    powers = 2.0 ** np.arange(63)
+    drawn = np.random.default_rng(15).integers(0, 2 ** 62, 20_000).astype(np.float64)
+    return np.concatenate([np.arange(1000.0), powers, powers - 1, powers + 1,
+                           10.0 ** np.arange(23) + 1, drawn])
+
+
+@pytest.mark.parametrize("make", [
+    _powers_of_ten_and_neighbours, _completion_values, _random_bit_patterns, _integers,
+    lambda: np.random.default_rng(16).standard_normal(50_000)
+    * 10.0 ** np.random.default_rng(17).integers(-30, 30, 50_000),
+], ids=["powers-of-ten", "completion", "bit-patterns", "integers", "wide-normal"])
+def test_formatter_equals_percent_on_value_sets(make):
+    values = make()
+    _assert_formats_like_percent(np.concatenate([values, -values]))
+
+
+def test_formatter_edge_values():
+    _assert_formats_like_percent([
+        0.0, -0.0, 100000000000000.125, 5e-324, -5e-324, 2.2250738585072014e-308,
+        np.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308,
+        -1.7976931348623157e308, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17,
+        np.nextafter(1e17, 0.0), 0.1, 0.5, 1.0 / 3.0, np.inf, -np.inf, np.nan])
+    _assert_formats_like_percent([])
+
+
+@pytest.mark.parametrize("double_table", [False, True])
+def test_formatter_fallback_alone_gives_the_same_bytes(monkeypatch, double_table):
+    # a margin of 0.5 certifies nothing, so every value takes the '%' path;
+    # where long double is double the table overflows and the margin is inf
+    table = mmio._pow10_table()[0]
+    if double_table:
+        with np.errstate(over="ignore"):
+            table = table.astype(np.float64).astype(np.longdouble)
+    monkeypatch.setattr(mmio, "_pow10_table",
+                        lambda: (table, np.inf if double_table else 0.5))
+    values = np.concatenate([_completion_values()[:20_000], _powers_of_ten_and_neighbours(),
+                             _random_bit_patterns()[:20_000], [0.0, -0.0]])
+    assert not _scaled(np.abs(values))[2].any()
+    _assert_formats_like_percent(values)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_misestimated_exponents_fall_back(monkeypatch, shift):
+    # log10 off by one either way puts the scaled value outside [10^16, 10^17)
+    log10 = np.log10
+    monkeypatch.setattr(mmio.np, "log10", lambda a: log10(a) + shift)
+    values = _completion_values()[:20_000]
+    assert not _scaled(np.abs(values))[2].any()
+    _assert_formats_like_percent(values)
+
+
+def test_gaussian_matrix_mostly_takes_the_fast_path():
+    # about 2% of values sit within the margin of a rounding tie; a slide
+    # of most values to the slow '%' path fails here
+    a = np.random.default_rng(18).standard_normal((1000, 1000))
+    ok = _scaled(np.abs(a.ravel()))[2]
+    assert ok.mean() > 0.95
 
 
 # --- malformed files raise ValueError, never another exception type
