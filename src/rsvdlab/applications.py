@@ -83,6 +83,10 @@ def match_labels(tau_hat, tau, n_clusters=None):
         n_clusters = int(max(tau_hat.max(), tau.max())) + 1
     if n_clusters > 8:
         raise ValueError("exhaustive matching supports at most 8 labels")
+    for labels in (tau_hat, tau):
+        bad = labels[(labels < 0) | (labels >= n_clusters)]
+        if bad.size:
+            raise ValueError(f"label {bad[0]} lies outside 0..{n_clusters - 1}")
     n = tau_hat.size
     confusion = np.zeros((n_clusters, n_clusters), dtype=np.int64)
     np.add.at(confusion, (tau_hat, tau), 1)
@@ -163,17 +167,20 @@ def entry_ci_batch(result: CompletionResult, t_hat, indices, alpha) -> list:
     + sum_{l != i} E2[l,j] z2[i,l] + E2[i,j] (z[i,i] + z[j,j])^2, all
     computed from sketch outputs alone.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    z = normal_quantile_two_sided(alpha)
     t_hat = as_matrix(t_hat, "observed matrix")
+    n = t_hat.shape[0]
+    indices = [(int(i), int(j)) for i, j in indices]
+    for i, j in indices:
+        for idx in (i, j):
+            if not 0 <= idx < n:
+                raise ValueError(f"entry ({i}, {j}): index {idx} lies outside 0..{n - 1}")
     zeta = result.u_hat_g @ result.u_hat_g.T
     e_hat = result.t_hat_g - t_hat / result.p_used
     e2 = e_hat * e_hat
     z2 = zeta * zeta
-    z = normal_quantile_two_sided(alpha)
     out = []
     for i, j in indices:
-        i, j = int(i), int(j)
         v = float(e2[i, :] @ z2[:, j]) - e2[i, j] * z2[j, j]
         v += float(e2[:, j] @ z2[i, :]) - e2[i, j] * z2[i, i]
         v += e2[i, j] * (zeta[i, i] + zeta[j, j]) ** 2

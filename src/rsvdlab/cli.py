@@ -20,14 +20,13 @@ import numpy as np
 from .applications import (
     entry_ci_batch,
     exact_complete,
-    match_labels,
     rsvd_complete,
     rsvd_missing_pca,
     rsvd_spectral_cluster,
 )
 from .clustering import DegenerateClusteringError
 from .harness import emit_csv, load_plan, run_plan
-from .linalg import RankDeficiencyError
+from .linalg import NotSymmetricError, RankDeficiencyError
 from .mmio import read_matrix_market, write_csv, write_matrix_market
 from .models import (
     gen_completion,
@@ -37,8 +36,7 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream
-from .sketch import (NotSymmetricError, SketchConfig, resolve_a_n,
-                     rs_rsvd_asym, rs_rsvd_sym)
+from .sketch import SketchConfig, resolve_a_n, rs_rsvd_asym, rs_rsvd_sym
 
 DEFAULT_SEED = 20240501
 
@@ -153,29 +151,59 @@ def cmd_svd(args):
     return EXIT_OK
 
 
-def _load_adjacency(args, stream):
-    if args.gen is not None:
-        kind, params = _parse_gen(args.gen)
-        if kind != "sbm":
-            raise UsageError(f"cluster supports --gen sbm:..., got {kind!r}")
-        n = int(params.get("n", 1000))
-        k_blocks = int(params.get("K", 2))
-        rho = float(params.get("rho", 1.0)) * n ** float(params.get("rho_exp", 0.0))
-        b_diag = float(params.get("b_in", 0.8))
-        b_off = float(params.get("b_out", 0.3))
-        b = np.full((k_blocks, k_blocks), b_off)
-        np.fill_diagonal(b, b_diag)
-        pi = np.full(k_blocks, 1.0 / k_blocks)
-        d = int(params.get("d", k_blocks))
-        inst = gen_sbm(n, b, pi, rho, d, stream)
-        return inst.a, inst.tau, {"generator": args.gen, "n": n, "rho": rho}
-    if args.input is None:
-        raise UsageError("provide an adjacency file or --gen sbm:...")
-    a = read_matrix_market(args.input)
-    truth = None
-    if args.truth:
-        truth = np.loadtxt(args.truth, dtype=np.int64, ndmin=1)
-    return a, truth, {"input": str(args.input)}
+def _gen_sbm(params, stream):
+    n = int(params.get("n", 1000))
+    k_blocks = int(params.get("K", 2))
+    rho = float(params.get("rho", 1.0)) * n ** float(params.get("rho_exp", 0.0))
+    b = np.full((k_blocks, k_blocks), float(params.get("b_out", 0.3)))
+    np.fill_diagonal(b, float(params.get("b_in", 0.8)))
+    pi = np.full(k_blocks, 1.0 / k_blocks)
+    inst = gen_sbm(n, b, pi, rho, int(params.get("d", k_blocks)), stream)
+    return inst.a, inst.tau, None, {"n": n, "rho": rho}
+
+
+def _gen_completion(params, stream):
+    p = float(params.get("p", 0.5))
+    inst = gen_completion(
+        int(params.get("n", 500)), int(params.get("k", 3)),
+        float(params.get("scale", 1.0)), p, float(params.get("sigma", 1.0)),
+        bool(int(params.get("homogeneous", 1))), stream,
+    )
+    return inst.t_hat, inst.t, p, {}
+
+
+def _gen_edm(params, stream):
+    n = int(params.get("n", 300))
+    p = float(params.get("p", 0.8))
+    d_mat, _ = gen_edm(n, int(params.get("dim", 2)),
+                       float(params.get("box", 10.0)), stream)
+    omega = symmetric_bernoulli(n, p, stream.child("mask").generator())
+    return omega * d_mat, d_mat, p, {}
+
+
+def _gen_pca(params, stream):
+    p = float(params.get("p", 1.0))
+    inst = gen_missing_pca(
+        int(params.get("d", 200)), int(params.get("m", 500)),
+        int(params.get("k", 4)), p, float(params.get("sigma", 0.0)), stream,
+    )
+    return inst.x_obs, None, p, {}
+
+
+def _load_input(args, stream, kinds):
+    """(matrix, truth, p, source meta) from the input file, or from the
+    --gen generator named in ``kinds`` ({kind: function}), which draws from
+    ``stream``; truth and p are None where the source gives none."""
+    named = " or ".join(f"{kind}:..." for kind in kinds)
+    if args.gen is None:
+        if args.input is None:
+            raise UsageError(f"provide an input file or --gen {named}")
+        return read_matrix_market(args.input), None, None, {"input": str(args.input)}
+    kind, params = _parse_gen(args.gen)
+    if kind not in kinds:
+        raise UsageError(f"{args.command} supports --gen {named}, got {kind!r}")
+    matrix, truth, p, extra = kinds[kind](params, stream)
+    return matrix, truth, p, {"generator": args.gen, **extra}
 
 
 def cmd_cluster(args):
@@ -184,15 +212,17 @@ def cmd_cluster(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reps = args.reps
+    if reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {reps}")
     if reps > 1 and args.gen is None:
         raise UsageError("--reps > 1 requires --gen")
     recovery_rows = []
-    first_labels = None
-    meta_src = None
     for rep in range(reps):
         stream = base.child("cluster", rep)
-        a, truth, src_meta = _load_adjacency(args, stream.child("model"))
-        meta_src = src_meta
+        a, truth, _, meta_src = _load_input(args, stream.child("model"),
+                                            {"sbm": _gen_sbm})
+        if args.gen is None and args.truth:
+            truth = np.loadtxt(args.truth, dtype=np.int64, ndmin=1)
         cfg = _sketch_config(args, a.shape[0], args.d, stream.child("sketch"))
         result = rsvd_spectral_cluster(a, args.K, cfg,
                                        clusterer=args.clusterer, truth=truth)
@@ -215,35 +245,11 @@ def cmd_cluster(args):
     return EXIT_OK
 
 
-def _load_observed(args, stream):
-    if args.gen is not None:
-        kind, params = _parse_gen(args.gen)
-        if kind == "completion":
-            inst = gen_completion(
-                int(params.get("n", 500)), int(params.get("k", 3)),
-                float(params.get("scale", 1.0)), float(params.get("p", 0.5)),
-                float(params.get("sigma", 1.0)),
-                bool(int(params.get("homogeneous", 1))), stream,
-            )
-            return inst.t_hat, inst.t, float(params.get("p", 0.5)), {"generator": args.gen}
-        if kind == "edm":
-            n = int(params.get("n", 300))
-            p = float(params.get("p", 0.8))
-            d_mat, _ = gen_edm(n, int(params.get("dim", 2)),
-                               float(params.get("box", 10.0)), stream)
-            gen = stream.child("mask").generator()
-            omega = symmetric_bernoulli(n, p, gen)
-            return omega * d_mat, d_mat, p, {"generator": args.gen}
-        raise UsageError(f"complete supports --gen completion:... or edm:..., got {kind!r}")
-    if args.input is None:
-        raise UsageError("provide an observed matrix or --gen")
-    return read_matrix_market(args.input), None, None, {"input": str(args.input)}
-
-
 def cmd_complete(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("complete")
-    t_hat, truth, gen_p, src_meta = _load_observed(args, base.child("model"))
+    t_hat, truth, gen_p, src_meta = _load_input(
+        args, base.child("model"), {"completion": _gen_completion, "edm": _gen_edm})
     if args.p == "auto":
         p = "auto"
     elif args.p is None:
@@ -293,26 +299,11 @@ def cmd_complete(args):
 def cmd_pca(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("pca")
-    if args.gen is not None:
-        kind, params = _parse_gen(args.gen)
-        if kind != "pca":
-            raise UsageError(f"pca supports --gen pca:..., got {kind!r}")
-        inst = gen_missing_pca(
-            int(params.get("d", 200)), int(params.get("m", 500)),
-            int(params.get("k", 4)), float(params.get("p", 1.0)),
-            float(params.get("sigma", 0.0)), base.child("model"),
-        )
-        x_obs = inst.x_obs
-        p = float(params.get("p", 1.0))
-        src_meta = {"generator": args.gen}
-    else:
-        if args.input is None:
-            raise UsageError("provide an observed matrix or --gen pca:...")
-        x_obs = read_matrix_market(args.input)
+    x_obs, _, p, src_meta = _load_input(args, base.child("model"), {"pca": _gen_pca})
+    if p is None:
         if args.p is None:
             raise UsageError("--p is required with an input file")
         p = args.p
-        src_meta = {"input": str(args.input)}
     cfg = _sketch_config(args, x_obs.shape[0], args.k, base.child("sketch"))
     u = rsvd_missing_pca(x_obs, p, cfg)
     out_dir = Path(args.out)

@@ -3,9 +3,10 @@
 Signed QR, thin SVD, and the symmetric eigensolver are LAPACK-backed (via
 numpy) but wrapped with the conventions the rest of the package relies
 on: validated finite input, deterministic sign conventions and magnitude
-ordering for eigenvalues.  Stacks of tall blocks are factored by a
-batched CholeskyQR2 that hands each block too ill-conditioned for it to
-the Householder QR.
+ordering for eigenvalues.  ``check_symmetric`` is the one rule by which
+the sketch and the exact baseline alike accept a matrix as symmetric.
+Stacks of tall blocks are factored by a batched CholeskyQR2 that hands
+each block too ill-conditioned for it to the Householder QR.
 """
 
 from typing import NamedTuple
@@ -16,12 +17,12 @@ from .rng import RngStream, gaussian_matrix
 
 #: Maximum size accepted by the dense symmetric eigensolver.
 SYM_EIG_MAX_N = 4096
-SYM_EIG_TOL = 1e-10       # largest |S - S^T| entry sym_eig accepts
+SYM_TOL = 1e-10           # largest |A - A^T| / max(1, max|A|) check_symmetric accepts
 SYM_EIG_MAX_ITER = 100    # block iterations sym_eig(s, k) runs before falling back to eigh
 SYM_EIG_TOPK_MIN_N = 350  # sym_eig(s, k) keeps eigh up to this n, where eigh is as fast
 _TOPK_RTOL = 1e-10        # Ritz residual, relative to |theta_1|, that certifies a top-k pair
 _TOPK_STREAM = RngStream(0x5EED)  # start blocks of the top-k path; no plan draws from it
-ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry require_orthonormal accepts
+ORTHONORMAL_TOL = 1e-10   # largest |Q^T Q - I| entry accepted as orthonormal
 _CHOLQR_MAX_RATIO = 1e6   # widest R_1 diagonal span (max / min) cholesky_qr2 accepts
 _CHOLQR_R2_TOL = 1e-2     # largest |R_2 - I| entry cholesky_qr2 accepts
 _SIGN_TOL = 1e-8          # entries below this fraction of a column's peak skip the sign rule
@@ -38,6 +39,10 @@ class RankDeficiencyError(ValueError):
     def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
+
+
+class NotSymmetricError(ValueError):
+    """Raised when a matrix that must be symmetric is not."""
 
 
 class SpectrumPair(NamedTuple):
@@ -79,6 +84,19 @@ def symmetry_defect(a) -> float:
         diff = a[rows, cols] - a[cols, rows].T
         peaks.append(np.max(np.abs(diff, out=diff)))
     return float(np.max(peaks))
+
+
+def check_symmetric(a, name="matrix"):
+    """Validate ``a`` as a finite square matrix with
+    max |A - A^T| <= SYM_TOL * max(1, max |A|); returns (a as float64, that
+    defect).  Raises NotSymmetricError past the tolerance and builds no
+    n x n temporary."""
+    a = as_matrix(a, name)
+    asym = symmetry_defect(a)   # raises on a non-square a
+    # max |A| is read only past the absolute tolerance
+    if asym > SYM_TOL and asym > SYM_TOL * max(a.max(), -a.min()):
+        raise NotSymmetricError(f"{name} is not symmetric: max asymmetry {asym:.3e}")
+    return a, asym
 
 
 def orthonormality_defect(q) -> float:
@@ -225,7 +243,8 @@ def sym_eig(s, k=None) -> SpectrumPair:
     """Eigendecomposition of a symmetric matrix, sorted by descending |value|.
 
     Magnitude ties are broken by placing the positive eigenvalue first.
-    Inputs asymmetric beyond SYM_EIG_TOL are rejected.
+    The input must pass check_symmetric; one with a nonzero defect is
+    replaced by (S + S^T) / 2 before either path sees it.
 
     With ``k`` only the k leading pairs are returned, from block subspace
     iteration on an n x b block, b = max(2k, k + 8), started from a fixed
@@ -237,18 +256,17 @@ def sym_eig(s, k=None) -> SpectrumPair:
     the certificate, or when n <= max(4b, SYM_EIG_TOPK_MIN_N): at those
     sizes eigh is as fast; only eigh is capped at SYM_EIG_MAX_N rows.
     """
-    s = as_matrix(s, "symmetric input")
+    s, asym = check_symmetric(s, "symmetric input")
     n = s.shape[0]
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    asym = symmetry_defect(s)
-    if asym > SYM_EIG_TOL:
-        raise ValueError(f"input is not symmetric: max |S - S^T| = {asym:.3e}")
-    if k is not None and (top := _top_k(s if asym == 0.0 else (s + s.T) / 2.0, k)):
+    if asym > 0.0:
+        s = (s + s.T) / 2.0
+    if k is not None and (top := _top_k(s, k)):
         return top
     if n > SYM_EIG_MAX_N:
         raise ValueError(f"dense eigensolver limited to {SYM_EIG_MAX_N} rows, got {n}")
-    vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
+    vals, vecs = np.linalg.eigh(s)
     order = np.lexsort((-vals, -np.abs(vals)))[:k]
     vals = vals[order]
     vecs = _fix_column_signs(vecs[:, order])

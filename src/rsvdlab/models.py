@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, svd_thin, _fix_column_signs, _upper_tiles
+from .linalg import as_matrix, svd_thin, sym_eig, _fix_column_signs, _upper_tiles
 from .rng import RngStream, standard_normal
 
 _ROW_BLOCK = 64   # rows of uniforms drawn at a time by symmetric_bernoulli
@@ -106,11 +106,7 @@ def _block_eigenpairs(labels, core, n_blocks):
     """
     counts = np.bincount(labels, minlength=n_blocks).astype(np.float64)
     root = np.sqrt(counts)
-    small = root[:, None] * core * root[None, :]
-    vals, vecs = np.linalg.eigh((small + small.T) / 2.0)
-    order = np.lexsort((-vals, -np.abs(vals)))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = sym_eig(root[:, None] * core * root[None, :])
     scale = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
     u = (vecs * scale[:, None])[labels, :]
     return vals, _fix_column_signs(u)

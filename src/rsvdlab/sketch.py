@@ -22,17 +22,17 @@ import math
 import numpy as np
 
 from .linalg import (
+    ORTHONORMAL_TOL,
     RankDeficiencyError,
     as_matrix,
+    check_symmetric,
     cholesky_qr2,
     orthonormality_defect,
     svd_thin,
-    symmetry_defect,
     _fix_column_signs,
 )
 from .rng import RngStream, gaussian_matrix
 
-_SYM_TOL = 1e-10
 _COLLAPSE_RCOND = 1e-13
 
 
@@ -102,22 +102,6 @@ class RsvdOutput:
     chosen_sketch: int          # index of the winning block in [0, a_n)
 
 
-class NotSymmetricError(ValueError):
-    """Raised when the symmetric driver is handed an asymmetric matrix."""
-
-
-def _check_symmetric(m_hat, name="M_hat"):
-    m_hat = as_matrix(m_hat, name)
-    n = m_hat.shape[0]
-    if m_hat.shape[1] != n:
-        raise ValueError(f"{name} must be square, got {m_hat.shape}")
-    asym = symmetry_defect(m_hat)
-    # asym > tol * max(1, max|M|), with max|M| read only past the tolerance
-    if asym > _SYM_TOL and asym > _SYM_TOL * max(m_hat.max(), -m_hat.min()):
-        raise NotSymmetricError(f"{name} is not symmetric: max asymmetry {asym:.3e}")
-    return m_hat
-
-
 def combined_sketch(n: int, cfg: SketchConfig) -> np.ndarray:
     """One n x (a_n * k_tilde) Gaussian draw covering all blocks."""
     return gaussian_matrix(n, cfg.a_n * cfg.k_tilde, cfg.stream)
@@ -135,7 +119,7 @@ def _extract_output(m_hat, q, rprods, k):
             f"target rank k={k} exceeds the numerical rank of the sketch"
         )
     u = _fix_column_signs(q[chosen] @ p[:, :k])
-    if orthonormality_defect(u) > 1e-10:
+    if orthonormality_defect(u) > ORTHONORMAL_TOL:
         raise RankDeficiencyError("extracted singular vectors lost orthonormality")
     sigma_tilde = np.linalg.svd(as_matrix(u.T @ m_hat, "input"), compute_uv=False)
     return RsvdOutput(
@@ -191,7 +175,7 @@ def rs_rsvd_sym_chain(m_hat, cfg: SketchConfig, g_list) -> dict:
     iterates at step g do not depend on later steps), but each power of the
     data matrix is applied only once.  Returns {g: RsvdOutput}.
     """
-    m_hat = _check_symmetric(m_hat)
+    m_hat, _ = check_symmetric(m_hat, "M_hat")
     cfg.validate_for(m_hat.shape)
     wanted = sorted(set(int(g) for g in g_list))
     if wanted[0] < 1:
@@ -207,8 +191,9 @@ def rs_rsvd_sym(m_hat, cfg: SketchConfig) -> RsvdOutput:
     Runs g re-orthonormalized power iterations on each of the a_n sketch
     blocks (carved out of one combined Gaussian draw), keeps the block
     maximizing sigma_k of the sketched matrix, and reads the approximate
-    singular values off U^T M_hat.  An asymmetric input raises
-    NotSymmetricError before any random numbers are drawn.
+    singular values off U^T M_hat.  An input that fails
+    linalg.check_symmetric raises NotSymmetricError before any random
+    numbers are drawn.
     """
     return rs_rsvd_sym_chain(m_hat, cfg, [cfg.g])[cfg.g]
 

@@ -7,7 +7,8 @@ covariance one row at a time from the n x n edge probabilities, the
 oracle entry variance for completion (C7), a dense grid search over 2x2
 orthogonal alignments, the sin-theta distance from principal angles, the
 dense whole-matrix forms of the passes that the package streams in tiles,
-row blocks and chunks, and the line-by-line Matrix Market reader and
+row blocks and chunks, the block-core eigenpairs with their own eigh,
+ordering and sign code, and the line-by-line Matrix Market reader and
 value-by-value writer that the package's vectorized ones replace.
 """
 
@@ -174,6 +175,23 @@ def eager_p_mat(core, tau):
     """n x n blockmodel edge probabilities core[tau_i, tau_j]."""
     k = core.shape[0]
     return np.take(core, tau[:, None] * k + tau[None, :])
+
+
+def block_eigenpairs_reference(labels, core, n_blocks):
+    """Eigenpairs of Z core Z^T from the always-symmetrized block core
+    D^(1/2) core D^(1/2), with their own eigh, magnitude ordering and one
+    sign fix on the expanded vectors."""
+    from rsvdlab.linalg import _fix_column_signs
+    counts = np.bincount(labels, minlength=n_blocks).astype(np.float64)
+    root = np.sqrt(counts)
+    small = root[:, None] * core * root[None, :]
+    vals, vecs = np.linalg.eigh((small + small.T) / 2.0)
+    order = np.lexsort((-vals, -np.abs(vals)))
+    vals = vals[order]
+    vecs = vecs[:, order]
+    scale = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+    u = (vecs * scale[:, None])[labels, :]
+    return vals, _fix_column_signs(u)
 
 
 def _alloc_poly(coeffs, x):

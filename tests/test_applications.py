@@ -75,6 +75,15 @@ class TestMatchLabels:
         assert not exact
         assert err == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_clusters_rejected(self, bad):
+        tau = np.array([0, 1, 0, 1])
+        wrong = tau.copy()
+        wrong[2] = bad
+        for tau_hat, ref in ((wrong, tau), (tau, wrong)):
+            with pytest.raises(ValueError, match=f"label {bad} lies outside 0..1"):
+                match_labels(tau_hat, ref, n_clusters=2)
+
     def test_k_above_eight_unsupported(self):
         tau = np.arange(9)
         with pytest.raises(ValueError):
@@ -167,8 +176,15 @@ class TestEntryCI:
     def test_alpha_validation(self):
         inst = gen_completion(30, 2, 1.0, 1.0, 0.0, True, RngStream(72, 8))
         res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(72, 9)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             entry_ci_batch(res, inst.t_hat, [(0, 1)], 1.5)
+
+    @pytest.mark.parametrize("pair, bad", [((0, 30), 30), ((-1, 4), -1), ((2, -30), -30)])
+    def test_index_outside_matrix_rejected(self, pair, bad):
+        inst = gen_completion(30, 2, 1.0, 1.0, 0.0, True, RngStream(72, 8))
+        res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(72, 9)))
+        with pytest.raises(ValueError, match=f"index {bad} lies outside 0..29"):
+            entry_ci_batch(res, inst.t_hat, [(1, 2), pair], 0.05)
 
 
 class TestMissingPca:

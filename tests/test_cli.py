@@ -182,6 +182,26 @@ class TestCluster:
                     "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("label", [5, -1])
+    def test_truth_label_outside_clusters_is_usage_error(self, tmp_path, capsys, label):
+        inst = gen_sbm(60, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
+                       RngStream(61, 0))
+        write_matrix_market(tmp_path / "a.mm", inst.a)
+        truth = inst.tau.copy()
+        truth[7] = label
+        np.savetxt(tmp_path / "truth.txt", truth, fmt="%d")
+        code = run_cli("cluster", str(tmp_path / "a.mm"), "--d", "2", "--K", "2",
+                       "--truth", str(tmp_path / "truth.txt"),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"label {label} lies outside 0..1" in capsys.readouterr().err
+
+    def test_zero_reps_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("cluster", "--gen", "sbm:n=100", "--d", "2", "--K", "2",
+                       "--reps", "0", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "--reps must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestComplete:
     def test_full_observation_matches_support(self, tmp_path):
@@ -244,6 +264,31 @@ class TestComplete:
         expected = u @ (u.T @ m_hat)
         got = read_matrix_market(out / "completed.mm")
         assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("spec, bad", [("500,1,0.05", 500), ("-1,1,0.05", -1)])
+    def test_ci_index_outside_matrix_is_usage_error(self, tmp_path, capsys, spec, bad):
+        a = np.random.default_rng(8).standard_normal((60, 60))
+        write_matrix_market(tmp_path / "obs.mtx", a + a.T)
+        code = run_cli("complete", str(tmp_path / "obs.mtx"), "--p", "1",
+                       "--k", "2", f"--ci={spec}", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"index {bad} lies outside 0..59" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bump, code", [(1, 0), (1e7, 2)])
+    def test_exact_accepts_what_the_sketch_accepts(self, tmp_path, capsys, bump, code):
+        # a PSD matrix with entries near 1.5e7 and one entry moved by `bump`
+        # ulps: one ulp passes the relative rule and fails an absolute 1e-10
+        v = np.random.default_rng(9).standard_normal((400, 3))
+        s = 1.5e7 * (np.ones((400, 400)) + 0.01 * (v @ v.T))
+        s[0, 1] += bump * np.spacing(s[0, 1])
+        write_matrix_market(tmp_path / "obs.mtx", s)
+        if bump == 1:
+            assert 1e-10 < s[0, 1] - s[1, 0] <= 1e-10 * np.max(s)
+        for extra in ([], ["--exact"]):
+            assert run_cli("complete", str(tmp_path / "obs.mtx"), "--p", "1",
+                           "--k", "2", *extra, "--out", str(tmp_path / "out")) == code
+        if code:
+            assert capsys.readouterr().err.count("not symmetric") == 2
 
     def test_auto_p(self, tmp_path):
         out = tmp_path / "out"

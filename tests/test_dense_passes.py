@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsvdlab.linalg import _TILE, symmetry_defect
+from rsvdlab.linalg import _TILE, check_symmetric, symmetry_defect
 from rsvdlab.models import (_homogeneous_core, gen_completion, gen_missing_pca, gen_sbm,
                             symmetric_bernoulli, symmetric_gaussian)
 from rsvdlab.rng import _CHUNK, RngStream, standard_normal
-from rsvdlab.sketch import _check_symmetric
 from rsvdlab.stats import inv_norm_cdf
 from rsvdlab.theory import clt_gamma_sbm_all
 
@@ -212,9 +211,9 @@ def test_gen_sbm_allocates_only_its_output():
 
 def test_check_symmetric_allocates_no_n_by_n_temporary():
     a = gen_sbm(N_MEM, B0, [0.5, 0.5], 1.0, 2, RngStream(62, 1)).a
-    peak = _traced_peak(_check_symmetric, a)
+    peak = _traced_peak(check_symmetric, a)
     assert peak <= 0.1 * FULL, (
-        f"sketch._check_symmetric peak {peak / 2**20:.2f} MiB exceeds 0.1 x "
+        f"linalg.check_symmetric peak {peak / 2**20:.2f} MiB exceeds 0.1 x "
         f"the {FULL / 2**20:.0f} MiB input")
 
 

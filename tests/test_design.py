@@ -2,11 +2,14 @@
 
 Every public top-level function or class in ``src/rsvdlab`` must be used by
 the package: a name that only tests call is a test reference and belongs in
-``tests/_oracles.py``.
+``tests/_oracles.py``.  Whether a matrix counts as symmetric is decided in
+``linalg.py`` alone, so the sketch and the exact baseline accept the same
+matrices.
 """
 
 import ast
 from pathlib import Path
+import re
 
 import rsvdlab
 
@@ -53,3 +56,23 @@ def test_no_public_name_is_only_used_by_tests():
     unused = sorted(f"{defined[name]}:{name}" for name in set(defined) - used - ALLOWED)
     assert not unused, f"public names no module of the package uses: {unused}"
     assert ALLOWED <= set(defined), "an allowlisted name no longer exists"
+
+
+def test_symmetry_is_decided_only_in_linalg():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "symmetry_defect":
+                offenders.append(f"{path.name}: uses symmetry_defect")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and re.search(r"SYM.*TOL", target.id, re.I):
+                    offenders.append(f"{path.name}: defines {target.id}")
+    assert not offenders, f"a second symmetry rule outside linalg.py: {offenders}"

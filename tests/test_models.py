@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsvdlab.models import (
+    _block_eigenpairs,
+    check_sbm,
     edm_from_points,
     gen_completion,
     gen_edm,
@@ -12,7 +15,7 @@ from rsvdlab.models import (
 from rsvdlab.rng import RngStream
 from rsvdlab.subspace import procrustes_align
 
-from _oracles import eager_p_mat
+from _oracles import block_eigenpairs_reference, eager_p_mat
 
 B0 = [[0.8, 0.3], [0.3, 0.8]]
 
@@ -66,6 +69,34 @@ class TestSbm:
             gen_sbm(10, B0, [0.5, 0.5], 1.3, 2, RngStream(1))  # rho*max(B) > 1
         with pytest.raises(ValueError):
             gen_sbm(10, B0, [0.5, 0.5], 1.0, 3, RngStream(1))  # d > K
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       asym=st.booleans(), empty=st.booleans())
+def test_block_eigenpairs_match_reference_bits(k, n, seed, asym, empty):
+    # cores carry up to the 1e-12 asymmetry check_sbm allows; sym_eig
+    # symmetrizes them exactly as the reference always does
+    gen = np.random.default_rng(seed)
+    b = gen.random((k, k))
+    b = (b + b.T) / 2.0
+    if asym:
+        b = np.clip(b + np.triu(1e-12 * (2.0 * gen.random((k, k)) - 1.0), 1), 0.0, 1.0)
+    pi = gen.dirichlet(np.ones(k))
+    if empty and k > 1:
+        pi[gen.integers(k)] = 0.0
+        pi /= pi.sum()
+    b, pi = check_sbm(n, b, pi, 1.0, k)
+    core = gen.random() * b
+    labels = gen.choice(k, size=n, p=pi)
+    vals, u = _block_eigenpairs(labels, core, k)
+    ref_vals, ref_u = block_eigenpairs_reference(labels, core, k)
+    assert vals.tobytes() == ref_vals.tobytes()
+    # a column that vanishes on every node (its eigenvector lives on empty
+    # blocks) keeps whichever sign of zero the k x k sign fix left it
+    live = np.any(ref_u != 0.0, axis=0)
+    assert u[:, live].tobytes() == ref_u[:, live].tobytes()
+    assert np.array_equal(u, ref_u)
 
 
 class TestCompletion:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rsvdlab.applications import _reconstruct, rsvd_complete
-from rsvdlab.linalg import RankDeficiencyError, orthonormality_defect, signed_qr, svd_thin, sym_eig
+from rsvdlab.linalg import (NotSymmetricError, RankDeficiencyError, orthonormality_defect,
+                            signed_qr, svd_thin, sym_eig)
 from rsvdlab.models import gen_sbm, symmetric_gaussian
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
 from rsvdlab.sketch import (
-    NotSymmetricError,
     SketchConfig,
     _power_chain,
     combined_sketch,
@@ -18,7 +18,7 @@ from rsvdlab.sketch import (
 )
 from rsvdlab.subspace import procrustes_align
 
-from _oracles import naive_block_svds, naive_repeated_sketch
+from _oracles import dense_symmetry_defect, naive_block_svds, naive_repeated_sketch
 
 
 def rank_k_symmetric(n, k, seed, lam=None):
@@ -83,6 +83,28 @@ def test_power_sketch_rejects_asymmetric():
     cfg = SketchConfig(k=1, k_tilde=1, a_n=1, g=1, stream=RngStream(7, 4))
     with pytest.raises(NotSymmetricError, match="not symmetric"):
         rs_rsvd_sym(np.array([[0.0, 1.0], [0.0, 0.0]]), cfg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 40), e=st.integers(-6, 12), seed=st.integers(0, 2**32 - 1),
+       where=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+       factor=st.floats(0.5, 2.0))
+def test_sketch_and_exact_baseline_share_one_symmetry_rule(n, e, seed, where, factor):
+    # one entry moved by about the threshold SYM_TOL * max(1, max|S|)
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    s = (a + a.T) * 10.0 ** e
+    i, j = int(where[0] * n), int(where[1] * n)
+    s[i, j] += factor * 1e-10 * max(1.0, float(np.max(np.abs(s))))
+    expected = dense_symmetry_defect(s) > 1e-10 * max(1.0, float(np.max(np.abs(s))))
+    cfg = SketchConfig(k=1, k_tilde=2, a_n=1, g=1, stream=RngStream(7, 6))
+    verdicts = []
+    for call in (lambda: rs_rsvd_sym(s, cfg), lambda: sym_eig(s, 1)):
+        try:
+            call()
+            verdicts.append(False)
+        except NotSymmetricError:
+            verdicts.append(True)
+    assert verdicts == [expected, expected]
 
 
 def test_rs_rsvd_exact_low_rank_diagonal():
