@@ -1,10 +1,12 @@
 """Command-line interface: decomposition, the three applications, and the
 experiment harness.
 
-Every command writes its outputs under --out with fixed filenames and a
-meta.json carrying the fully resolved configuration (including derived
-seeds), so reruns with the same flags are byte-identical.  Exit codes:
-0 success, 1 numerical failure, 2 usage or parse error.
+Every command returns its outputs, a mapping from fixed filename to
+payload, and a meta.json dict carrying the fully resolved configuration
+(derived seeds, the k_tilde and a_n the sketch used), so reruns with the
+same flags are byte-identical.  ``main`` creates --out and writes them only
+once the command has succeeded, so a failed run leaves --out as it was.
+Exit codes: 0 success, 1 numerical failure, 2 usage or parse error.
 """
 
 import argparse
@@ -88,24 +90,11 @@ def _sketch_config(args, n, k, stream):
     return SketchConfig(k=k, k_tilde=k_tilde, a_n=a_n, g=args.g, stream=stream)
 
 
-def _write_meta(out_dir, payload):
-    path = Path(out_dir) / "meta.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def _common_meta(args, seed, stream, extra):
-    meta = {
-        "command": args.command,
-        "seed": seed,
-        "stream": {"master_seed": stream.master_seed,
-                   "stream_id": stream.stream_id},
-        "g": getattr(args, "g", None),
-        "ktilde": getattr(args, "ktilde", None),
-        "an": getattr(args, "an", None),
-    }
-    meta.update(extra)
-    return meta
+def _common_meta(args, seed, stream, cfg, extra):
+    """meta.json of a sketch command: seeds and the resolved sketch config."""
+    stream_meta = {"master_seed": stream.master_seed, "stream_id": stream.stream_id}
+    return {"command": args.command, "seed": seed, "stream": stream_meta,
+            "g": cfg.g, "ktilde": cfg.k_tilde, "an": cfg.a_n, **extra}
 
 
 def _add_sketch_flags(parser, default_g=2):
@@ -136,19 +125,12 @@ def cmd_svd(args):
         # auto mode: the symmetric sketch checks symmetry before any draw
         symmetric = False
         out = rs_rsvd_asym(a, cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix_market(out_dir / "U.mm", out.u_hat_g)
-    write_csv(out_dir / "sigma.csv", ("sigma",),
-              [(float(s),) for s in out.sigma_tilde])
-    _write_meta(out_dir, _common_meta(args, seed, stream, {
-        "input": str(args.input),
-        "k": args.k,
-        "symmetric": symmetric,
+    files = {"U.mm": out.u_hat_g,
+             "sigma.csv": (("sigma",), [(float(s),) for s in out.sigma_tilde])}
+    return files, _common_meta(args, seed, stream, cfg, {
+        "input": str(args.input), "k": args.k, "symmetric": symmetric,
         "chosen_sketch": int(out.chosen_sketch),
-        "sigma_k_sketch": float(out.sigma_k_sketch),
-    }))
-    return EXIT_OK
+        "sigma_k_sketch": float(out.sigma_k_sketch)})
 
 
 def _gen_sbm(params, stream):
@@ -209,8 +191,6 @@ def _load_input(args, stream, kinds):
 def cmd_cluster(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     reps = args.reps
     if reps < 1:
         raise UsageError(f"--reps must be >= 1, got {reps}")
@@ -231,18 +211,15 @@ def cmd_cluster(args):
         if truth is not None:
             recovery_rows.append((rep, int(result.exact_recovery),
                                   float(result.error_rate)))
-    write_csv(out_dir / "labels.csv", ("node", "label"),
-              [(i, int(lab)) for i, lab in enumerate(first_labels)])
+    files = {"labels.csv": (("node", "label"),
+                            [(i, int(lab)) for i, lab in enumerate(first_labels)])}
     extra = {"d": args.d, "K": args.K, "clusterer": args.clusterer,
-             "reps": reps}
-    extra.update(meta_src)
+             "reps": reps, **meta_src}
     if recovery_rows:
-        write_csv(out_dir / "recovery.csv", ("replicate", "exact", "error_rate"),
-                  recovery_rows)
+        files["recovery.csv"] = (("replicate", "exact", "error_rate"), recovery_rows)
         extra["recovery_frequency"] = float(
             np.mean([row[1] for row in recovery_rows]))
-    _write_meta(out_dir, _common_meta(args, seed, base, extra))
-    return EXIT_OK
+    return files, _common_meta(args, seed, base, cfg, extra)
 
 
 def cmd_complete(args):
@@ -250,31 +227,31 @@ def cmd_complete(args):
     base = RngStream(seed, 0).child("complete")
     t_hat, truth, gen_p, src_meta = _load_input(
         args, base.child("model"), {"completion": _gen_completion, "edm": _gen_edm})
-    if args.p == "auto":
-        p = "auto"
-    elif args.p is None:
-        if gen_p is None:
-            raise UsageError("--p is required unless a generator supplies it")
-        p = gen_p
-    else:
+    p = gen_p if args.p is None else args.p
+    if p is None:
+        raise UsageError("--p is required unless a generator supplies it")
+    try:
+        p = p if p == "auto" else float(p)
+    except ValueError as exc:
+        raise UsageError(f"--p must be a probability or 'auto', got {args.p!r}") from exc
+    n = t_hat.shape[0]
+    cfg = _sketch_config(args, n, args.k, base.child("sketch"))
+    # every spec is parsed and its entry checked before the completion runs
+    specs = []
+    for spec in args.ci or []:
         try:
-            p = float(args.p)
-        except ValueError as exc:
-            raise UsageError(f"--p must be a probability or 'auto', got {args.p!r}") from exc
-    cfg = _sketch_config(args, t_hat.shape[0], args.k, base.child("sketch"))
+            i, j, alpha = spec.split(",")
+            i, j, alpha = int(i), int(j), float(alpha)
+        except ValueError:
+            raise UsageError(f"--ci expects 'i,j,alpha', got {spec!r}") from None
+        for idx in (i, j):
+            if not 0 <= idx < n:
+                raise UsageError(f"--ci {spec!r}: index {idx} lies outside 0..{n - 1}")
+        specs.append((i, j, alpha))
     if args.exact:
         result = exact_complete(t_hat, p, args.k, mode=args.mode)
     else:
         result = rsvd_complete(t_hat, p, cfg, mode=args.mode)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix_market(out_dir / "completed.mm", result.t_hat_g)
-    specs = []
-    for ci_spec in args.ci or []:
-        parts = ci_spec.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"--ci expects 'i,j,alpha', got {ci_spec!r}")
-        specs.append((int(parts[0]), int(parts[1]), float(parts[2])))
     # one batch per distinct alpha builds the n x n CI matrices once each;
     # rows keep the order the flags were given in
     ci_rows = [None] * len(specs)
@@ -283,36 +260,28 @@ def cmd_complete(args):
         cis = entry_ci_batch(result, t_hat, [specs[idx][:2] for idx in slots], alpha)
         for idx, ci in zip(slots, cis):
             ci_rows[idx] = (ci.i, ci.j, ci.alpha, ci.estimate, ci.v_hat, ci.lo, ci.hi)
-    write_csv(out_dir / "ci.csv",
-              ("i", "j", "alpha", "estimate", "v_hat", "lo", "hi"), ci_rows)
+    files = {"completed.mm": result.t_hat_g,
+             "ci.csv": (("i", "j", "alpha", "estimate", "v_hat", "lo", "hi"), ci_rows)}
     extra = {"k": args.k, "p_used": result.p_used, "mode": result.mode,
-             "exact": bool(args.exact)}
-    extra.update(src_meta)
+             "exact": bool(args.exact), **src_meta}
     if truth is not None:
         err = result.t_hat_g - truth
-        extra["frob_err_per_n"] = float(np.linalg.norm(err)) / t_hat.shape[0]
+        extra["frob_err_per_n"] = float(np.linalg.norm(err)) / n
         extra["max_err"] = float(np.max(np.abs(err)))
-    _write_meta(out_dir, _common_meta(args, seed, base, extra))
-    return EXIT_OK
+    return files, _common_meta(args, seed, base, cfg, extra)
 
 
 def cmd_pca(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("pca")
     x_obs, _, p, src_meta = _load_input(args, base.child("model"), {"pca": _gen_pca})
+    p = args.p if p is None else p
     if p is None:
-        if args.p is None:
-            raise UsageError("--p is required with an input file")
-        p = args.p
+        raise UsageError("--p is required with an input file")
     cfg = _sketch_config(args, x_obs.shape[0], args.k, base.child("sketch"))
     u = rsvd_missing_pca(x_obs, p, cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix_market(out_dir / "U.mm", u)
-    extra = {"k": args.k, "p": p}
-    extra.update(src_meta)
-    _write_meta(out_dir, _common_meta(args, seed, base, extra))
-    return EXIT_OK
+    return {"U.mm": u}, _common_meta(args, seed, base, cfg,
+                                     {"k": args.k, "p": p, **src_meta})
 
 
 def _locate_plan(plan_arg):
@@ -342,15 +311,8 @@ def cmd_experiment(args):
     plan = replace(plan, parallelism=parallelism,
                    master_seed=_resolve_seed(plan.master_seed))
     records = run_plan(plan)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_csv(records, out_dir / "records.csv")
-    _write_meta(out_dir, {
-        "command": "experiment",
-        "plan": asdict(plan),
-        "records": len(records),
-    })
-    return EXIT_OK
+    meta = {"command": "experiment", "plan": asdict(plan), "records": len(records)}
+    return {"records.csv": records}, meta
 
 
 def build_parser():
@@ -436,7 +398,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        files, meta = args.func(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
+            if name.endswith(".mm"):
+                write_matrix_market(out_dir / name, payload)
+            elif name == "records.csv":
+                emit_csv(payload, out_dir / name)
+            else:
+                write_csv(out_dir / name, *payload)
+        (out_dir / "meta.json").write_text(
+            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

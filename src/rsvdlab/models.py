@@ -140,7 +140,9 @@ def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
     """Sample a K-block stochastic blockmodel graph with sparsity rho.
 
     Labels are iid from pi; edges (diagonal included) are independent
-    Bernoulli(rho * B[tau_i, tau_j]), mirrored below the diagonal.
+    Bernoulli(rho * B[tau_i, tau_j]), mirrored below the diagonal.  Raises
+    ValueError when a truth column is zero, as when fewer than d blocks
+    draw nodes.
     """
     b, pi = check_sbm(n, b, pi, rho, d)
     k_blocks = b.shape[0]
@@ -150,6 +152,10 @@ def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
     core = rho * b
     a = symmetric_bernoulli(n, (core, tau), gen)
     vals, u = _block_eigenpairs(tau, core, k_blocks)
+    if not u[:, :d].any(axis=0).all():
+        filled = np.unique(tau).size
+        raise ValueError(f"the truth basis has a zero column: {filled} of {k_blocks} "
+                         f"blocks have nodes, d = {d}")
     return SbmInstance(a=a, core=core, tau=tau, u=u[:, :d], lam=vals[:d])
 
 

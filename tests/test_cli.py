@@ -100,6 +100,15 @@ class TestSvd:
                        "--ktilde", "2", "--seed", "4242", "--out", str(out2)) == 0
         assert read_bytes_tree(out1) == read_bytes_tree(out2)
 
+    def test_meta_records_resolved_sketch_settings(self, tmp_path):
+        # defaults: k_tilde = k + 5, a_n = ceil(log 300) = 6
+        a = np.random.default_rng(3).standard_normal((300, 300))
+        write_matrix_market(tmp_path / "m.mm", a + a.T)
+        out = tmp_path / "out"
+        assert run_cli("svd", str(tmp_path / "m.mm"), "--k", "2", "--out", str(out)) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert (meta["ktilde"], meta["an"], meta["g"]) == (7, 6, 2)
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("svd", str(tmp_path / "nope.mm"), "--k", "1",
                        "--out", str(tmp_path / "o")) == 2
@@ -141,6 +150,46 @@ class TestExitCodes:
     def test_rank_deficient_input_exits_1(self, tmp_path, capsys):
         assert self._svd(tmp_path, "40 40 1\n1 1 1.0\n", k=2) == 1
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+class TestFailedRunWritesNothing:
+    """A run that exits 1 or 2 leaves --out as it was: main writes the
+    outputs only after the command has returned."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        a = np.random.default_rng(8).standard_normal((60, 60))
+        write_matrix_market(tmp_path / "sym.mtx", a + a.T)
+        write_matrix_market(tmp_path / "asym.mtx", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        (tmp_path / "rank1.mtx").write_text(TestExitCodes.HEADER + "40 40 1\n1 1 1.0\n")
+        inst = gen_sbm(60, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
+                       RngStream(61, 0))
+        write_matrix_market(tmp_path / "sbm.mtx", inst.a)
+        truth = inst.tau.copy()
+        truth[7] = 5
+        np.savetxt(tmp_path / "truth.txt", truth, fmt="%d")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    COMPLETE = ["complete", "sym.mtx", "--p", "1", "--k", "2"]
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (COMPLETE + ["--ci=1,2"], 2, "error: --ci expects 'i,j,alpha', got '1,2'"),
+        (COMPLETE + ["--ci=1,x,0.05"], 2, "error: --ci expects 'i,j,alpha', got '1,x,0.05'"),
+        (COMPLETE + ["--ci=500,1,0.05"], 2,
+         "error: --ci '500,1,0.05': index 500 lies outside 0..59"),
+        (["cluster", "--gen", "sbm:n=100", "--d", "2", "--K", "2", "--reps", "0"], 2,
+         "--reps must be >= 1, got 0"),
+        (["cluster", "sbm.mtx", "--d", "2", "--K", "2", "--truth", "truth.txt"], 2,
+         "label 5 lies outside 0..1"),
+        (["svd", "asym.mtx", "--k", "1", "--sym"], 2, "not symmetric"),
+        (["svd", "rank1.mtx", "--k", "2"], 1, "numerical failure: "),
+    ], ids=["ci-two-fields", "ci-not-an-int", "ci-index", "cluster-zero-reps",
+            "cluster-truth-label", "svd-sym-asymmetric", "svd-rank-deficient"])
+    def test_out_is_not_created(self, inputs, capsys, argv, code, message):
+        assert run_cli(*argv, "--out", "out") == code
+        assert message in capsys.readouterr().err
+        assert not (inputs / "out").exists()
 
 
 class TestCluster:

@@ -98,7 +98,8 @@ def test_symmetric_bernoulli_equals_dense_oracle(n, seed, kind):
 @pytest.mark.parametrize("n,rho", [(1, 0.5), (300, 0.7), (N_MAX, 1.0)])
 def test_gen_sbm_matches_dense_path(n, rho):
     stream = RngStream(61, n)
-    inst = gen_sbm(n, B0, [0.4, 0.6], rho, 2, stream)
+    # one node fills one block, and gen_sbm rejects a zero truth column
+    inst = gen_sbm(n, B0, [0.4, 0.6], rho, min(n, 2), stream)
     gen = stream.generator()
     gen.random(n)  # the label draw
     p_mat = eager_p_mat(rho * B0, inst.tau)

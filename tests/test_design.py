@@ -4,7 +4,8 @@ Every public top-level function or class in ``src/rsvdlab`` must be used by
 the package: a name that only tests call is a test reference and belongs in
 ``tests/_oracles.py``.  Whether a matrix counts as symmetric is decided in
 ``linalg.py`` alone, so the sketch and the exact baseline accept the same
-matrices.
+matrices.  In ``cli.py`` only ``main`` writes files, after the command has
+returned, so a failed command cannot leave partial output.
 """
 
 import ast
@@ -76,3 +77,19 @@ def test_symmetry_is_decided_only_in_linalg():
                 if isinstance(target, ast.Name) and re.search(r"SYM.*TOL", target.id, re.I):
                     offenders.append(f"{path.name}: defines {target.id}")
     assert not offenders, f"a second symmetry rule outside linalg.py: {offenders}"
+
+
+def test_only_cli_main_writes_outputs():
+    writers = {"write_matrix_market", "write_csv", "emit_csv", "mkdir", "write_text"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "main":
+            continue
+        for node in ast.walk(top):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in writers:
+                offenders.append(f"{getattr(top, 'name', 'module level')}: calls {name}")
+    assert not offenders, f"cli.py writes outside main: {offenders}"

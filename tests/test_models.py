@@ -70,6 +70,13 @@ class TestSbm:
         with pytest.raises(ValueError):
             gen_sbm(10, B0, [0.5, 0.5], 1.0, 3, RngStream(1))  # d > K
 
+    def test_zero_truth_column_raises(self):
+        # the stream draws labels [0, 0, 0, 1]: block 2 is empty, and d = 3
+        # would put its all-zero eigenvector in the truth basis
+        with pytest.raises(ValueError, match="2 of 3 blocks have nodes"):
+            gen_sbm(4, 0.5 + 0.3 * np.eye(3), np.full(3, 1.0 / 3.0), 1.0, 3,
+                    RngStream(0, 0))
+
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 6), n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
