@@ -14,7 +14,7 @@ import numpy as np
 from .clustering import cluster_rows
 from .linalg import as_matrix, sym_eig
 from .sketch import SketchConfig, rs_rsvd_sym
-from .stats import normal_quantile_two_sided
+from .stats import check_probability, normal_quantile_two_sided
 
 
 @dataclass
@@ -120,20 +120,22 @@ def _completion_inputs(t_hat, p):
         p_used = estimate_sampling_rate(t_hat)
     else:
         p_used = float(p)
-        if not 0.0 < p_used <= 1.0:
-            raise ValueError("p must lie in (0, 1]")
+        check_probability(p_used)
     return t_hat / p_used, p_used
+
+
+def check_mode(mode):
+    """A completion mode is "one_sided" or "symmetrized"."""
+    if mode not in ("one_sided", "symmetrized"):
+        raise ValueError(f"mode must be 'one_sided' or 'symmetrized', got {mode!r}")
 
 
 def _reconstruct(u, m_hat, mode):
     """Low-rank estimate from the basis ``u``: U U^T M_hat for "one_sided",
     its symmetric average for "symmetrized"."""
+    check_mode(mode)
     b = u @ (u.T @ m_hat)
-    if mode == "one_sided":
-        return b
-    if mode == "symmetrized":
-        return (b + b.T) / 2.0
-    raise ValueError(f"mode must be 'one_sided' or 'symmetrized', got {mode!r}")
+    return b if mode == "one_sided" else (b + b.T) / 2.0
 
 
 def rsvd_complete(t_hat, p, cfg: SketchConfig, mode="one_sided") -> CompletionResult:
@@ -195,8 +197,7 @@ def entry_ci_batch(result: CompletionResult, t_hat, indices, alpha) -> list:
 def missing_pca_gram(x_obs, p) -> np.ndarray:
     """Debiased second-moment surrogate: off-diagonal of p^-2 X X^T."""
     x_obs = as_matrix(x_obs, "observed data")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    check_probability(p)
     gram = x_obs @ x_obs.T
     q = (gram + gram.T) / (2.0 * p * p)
     np.fill_diagonal(q, 0.0)

@@ -27,7 +27,15 @@ from .applications import (
     rsvd_spectral_cluster,
 )
 from .clustering import DegenerateClusteringError
-from .harness import emit_csv, load_plan, run_plan
+from .harness import (
+    EDM,
+    INTEGER,
+    NUMBER,
+    emit_csv,
+    load_plan,
+    resolve_params,
+    run_plan,
+)
 from .linalg import NotSymmetricError, RankDeficiencyError
 from .mmio import read_matrix_market, write_csv, write_matrix_market
 from .models import (
@@ -38,7 +46,8 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream
-from .sketch import SketchConfig, resolve_a_n, rs_rsvd_asym, rs_rsvd_sym
+from .sketch import resolve_a_n, resolve_sketch, rs_rsvd_asym, rs_rsvd_sym
+from .stats import check_level, check_probability
 
 DEFAULT_SEED = 20240501
 
@@ -82,12 +91,14 @@ def _parse_gen(spec_str):
 
 
 def _sketch_config(args, n, k, stream):
-    k_tilde = args.ktilde if args.ktilde is not None else k + 5
+    """The CLI's sketch: k_tilde k + 5 and a_n ceil(log n) unless set."""
+    rule = "ceil_log" if args.an == "log" else args.an
     try:
-        a_n = resolve_a_n("ceil_log" if args.an == "log" else args.an, n)
+        resolve_a_n(rule, n)
     except ValueError as exc:
         raise UsageError(f"--an: {exc}") from exc
-    return SketchConfig(k=k, k_tilde=k_tilde, a_n=a_n, g=args.g, stream=stream)
+    k_tilde = args.ktilde if args.ktilde is not None else k + 5
+    return resolve_sketch(k, k_tilde, rule, n, args.g, stream)
 
 
 def _common_meta(args, seed, stream, cfg, extra):
@@ -133,43 +144,45 @@ def cmd_svd(args):
         "sigma_k_sketch": float(out.sigma_k_sketch)})
 
 
-def _gen_sbm(params, stream):
-    n = int(params.get("n", 1000))
-    k_blocks = int(params.get("K", 2))
-    rho = float(params.get("rho", 1.0)) * n ** float(params.get("rho_exp", 0.0))
-    b = np.full((k_blocks, k_blocks), float(params.get("b_out", 0.3)))
-    np.fill_diagonal(b, float(params.get("b_in", 0.8)))
+def _gen_sbm(v, stream):
+    n, k_blocks = v["n"], v["K"]
+    rho = v["rho"] * n ** v["rho_exp"]
+    b = np.full((k_blocks, k_blocks), v["b_out"])
+    np.fill_diagonal(b, v["b_in"])
     pi = np.full(k_blocks, 1.0 / k_blocks)
-    inst = gen_sbm(n, b, pi, rho, int(params.get("d", k_blocks)), stream)
+    inst = gen_sbm(n, b, pi, rho, v["d"], stream)
     return inst.a, inst.tau, None, {"n": n, "rho": rho}
 
 
-def _gen_completion(params, stream):
-    p = float(params.get("p", 0.5))
-    inst = gen_completion(
-        int(params.get("n", 500)), int(params.get("k", 3)),
-        float(params.get("scale", 1.0)), p, float(params.get("sigma", 1.0)),
-        bool(int(params.get("homogeneous", 1))), stream,
-    )
-    return inst.t_hat, inst.t, p, {}
+def _gen_completion(v, stream):
+    inst = gen_completion(v["n"], v["k"], v["scale"], v["p"], v["sigma"],
+                          bool(v["homogeneous"]), stream)
+    return inst.t_hat, inst.t, v["p"], {}
 
 
-def _gen_edm(params, stream):
-    n = int(params.get("n", 300))
-    p = float(params.get("p", 0.8))
-    d_mat, _ = gen_edm(n, int(params.get("dim", 2)),
-                       float(params.get("box", 10.0)), stream)
-    omega = symmetric_bernoulli(n, p, stream.child("mask").generator())
-    return omega * d_mat, d_mat, p, {}
+def _gen_edm(v, stream):
+    d_mat, _ = gen_edm(v["n"], v["dim"], v["box"], stream)
+    omega = symmetric_bernoulli(v["n"], v["p"], stream.child("mask").generator())
+    return omega * d_mat, d_mat, v["p"], {}
 
 
-def _gen_pca(params, stream):
-    p = float(params.get("p", 1.0))
-    inst = gen_missing_pca(
-        int(params.get("d", 200)), int(params.get("m", 500)),
-        int(params.get("k", 4)), p, float(params.get("sigma", 0.0)), stream,
-    )
-    return inst.x_obs, None, p, {}
+def _gen_pca(v, stream):
+    inst = gen_missing_pca(v["d"], v["m"], v["k"], v["p"], v["sigma"], stream)
+    return inst.x_obs, None, v["p"], {}
+
+
+# each --gen generator's parameters (see harness.resolve_params)
+_GEN_PARAMS = {
+    "sbm": {"n": (INTEGER, 1000), "K": (INTEGER, 2), "rho": (NUMBER, 1.0),
+            "rho_exp": (NUMBER, 0.0), "b_out": (NUMBER, 0.3),
+            "b_in": (NUMBER, 0.8), "d": (INTEGER, lambda v: v["K"])},
+    "completion": {"p": (NUMBER, 0.5, check_probability), "n": (INTEGER, 500),
+                   "k": (INTEGER, 3), "scale": (NUMBER, 1.0),
+                   "sigma": (NUMBER, 1.0), "homogeneous": (INTEGER, 1)},
+    "edm": {"n": (INTEGER, 300), **EDM},
+    "pca": {"p": (NUMBER, 1.0, check_probability), "d": (INTEGER, 200),
+            "m": (INTEGER, 500), "k": (INTEGER, 4), "sigma": (NUMBER, 0.0)},
+}
 
 
 def _load_input(args, stream, kinds):
@@ -184,7 +197,8 @@ def _load_input(args, stream, kinds):
     kind, params = _parse_gen(args.gen)
     if kind not in kinds:
         raise UsageError(f"{args.command} supports --gen {named}, got {kind!r}")
-    matrix, truth, p, extra = kinds[kind](params, stream)
+    values = resolve_params(_GEN_PARAMS[kind], params, f"--gen {kind}")
+    matrix, truth, p, extra = kinds[kind](values, stream)
     return matrix, truth, p, {"generator": args.gen, **extra}
 
 
@@ -236,7 +250,8 @@ def cmd_complete(args):
         raise UsageError(f"--p must be a probability or 'auto', got {args.p!r}") from exc
     n = t_hat.shape[0]
     cfg = _sketch_config(args, n, args.k, base.child("sketch"))
-    # every spec is parsed and its entry checked before the completion runs
+    # every spec is parsed and its entry and alpha checked before the
+    # completion runs
     specs = []
     for spec in args.ci or []:
         try:
@@ -247,6 +262,7 @@ def cmd_complete(args):
         for idx in (i, j):
             if not 0 <= idx < n:
                 raise UsageError(f"--ci {spec!r}: index {idx} lies outside 0..{n - 1}")
+        check_level(alpha, f"--ci {spec!r}: alpha")
         specs.append((i, j, alpha))
     if args.exact:
         result = exact_complete(t_hat, p, args.k, mode=args.mode)

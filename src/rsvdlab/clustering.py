@@ -90,6 +90,14 @@ def _lloyd(x, centers, update):
     return labels, centers
 
 
+def check_clustering(n_rows, n_clusters, method):
+    """The arguments cluster_rows accepts."""
+    if not 1 <= n_clusters <= n_rows:
+        raise ValueError("need 1 <= n_clusters <= number of rows")
+    if method not in ("kmeans", "kmedians"):
+        raise ValueError(f"method must be 'kmeans' or 'kmedians', got {method!r}")
+
+
 def cluster_rows(x, n_clusters, stream: RngStream, method="kmeans"):
     """Cluster the rows of ``x`` into ``n_clusters`` groups.
 
@@ -100,14 +108,8 @@ def cluster_rows(x, n_clusters, stream: RngStream, method="kmeans"):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be 2-d")
-    if not 1 <= n_clusters <= x.shape[0]:
-        raise ValueError("need 1 <= n_clusters <= number of rows")
-    if method == "kmeans":
-        update = lambda pts: pts.mean(axis=0)
-    elif method == "kmedians":
-        update = geometric_median
-    else:
-        raise ValueError("method must be 'kmeans' or 'kmedians'")
+    check_clustering(x.shape[0], n_clusters, method)
+    update = geometric_median if method == "kmedians" else lambda pts: pts.mean(axis=0)
 
     for attempt in range(_MAX_RESTARTS):
         gen = stream.child("cluster-restart", attempt).generator()

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import json
 import math
+import numbers
 from pathlib import Path
 import time
 from typing import NamedTuple
@@ -20,15 +21,19 @@ import numpy as np
 from .applications import (
     CompletionResult,
     _reconstruct,
+    check_mode,
     entry_ci_batch,
     exact_complete,
     match_labels,
     missing_pca_gram,
 )
-from .clustering import cluster_rows
+from .clustering import check_clustering, cluster_rows
 from .linalg import as_matrix, sym_eig
 from .mmio import write_csv
 from .models import (
+    check_completion,
+    check_edm,
+    check_missing_pca,
     check_sbm,
     gen_completion,
     gen_edm,
@@ -37,17 +42,87 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream, stable_hash64
-from .sketch import SketchConfig, resolve_a_n, rs_rsvd_sym_chain
-from .stats import chi2_quantile
+from .sketch import resolve_sketch, rs_rsvd_sym_chain
+from .stats import check_level, check_probability, chi2_quantile
 from .subspace import procrustes_align
 from .theory import clt_gamma_sbm_all
 
-_DEFAULT_B = [[0.8, 0.3], [0.3, 0.8]]
 _CI_FLOAT_SLACK = 1e-9
+
+
+class ParamError(TypeError, ValueError):
+    """A parameter of the wrong type (a ValueError like any bad value)."""
+
+
+# parameter types: (description, accepted classes, JSON-native form); a bool
+# is never a number, and an untyped (None) parameter is left to its checks
+NUMBER = ("a number", numbers.Real, float)
+INTEGER = ("an integer", numbers.Integral, int)
+_COUNT = ("an integer >= 1", numbers.Integral, int)
+
+
+def resolve_params(table, given, where):
+    """The values of ``given`` resolved against ``table``, which maps each
+    key to (type, default[, rule]): a default may be a function of the values
+    resolved before it, and a rule is a check(value, name) owned by the module
+    that enforces it.  Unknown keys and wrong types raise, headed by ``where``.
+    """
+    unknown = [key for key in given if key not in table]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+                         f"the keys are {', '.join(table)}")
+    values = {}
+    for key, (type_, default, *rules) in table.items():
+        if key not in given:
+            values[key] = default(values) if callable(default) else default
+            continue
+        value, name = given[key], f"{where} {key!r}"
+        if type_ and (isinstance(value, bool) or not isinstance(value, type_[1])
+                      or type_ is _COUNT and value < 1):
+            raise ParamError(f"{name} must be {type_[0]}, got {value!r} "
+                             f"({type(value).__name__})")
+        values[key] = type_[2](value) if type_ else value
+        for rule in rules:
+            rule(values[key], name)
+    return values
+
+
+def _blocks(v):
+    return as_matrix(v["b"], "B").shape[0]
+
+
+# every plan kind's parameters; _model_rank holds the rules that join
+# several values or depend on n.  EDM is shared with the CLI's --gen edm.
+_SKETCH = {"k_tilde": (_COUNT, 12), "a_n": (None, "ceil_log")}
+EDM = {"dim": (INTEGER, 2), "box": (NUMBER, 10.0),
+       "p": (NUMBER, 0.8, check_probability)}
+_SBM = {"b": (None, [[0.8, 0.3], [0.3, 0.8]]),
+        "pi": (None, lambda v: [1.0 / _blocks(v)] * _blocks(v)),
+        "rho_c": (NUMBER, 1.0), "rho_exponent": (NUMBER, 0.0),
+        "d": (INTEGER, _blocks), **_SKETCH}
+_PARAMS = {
+    "rate_regression": _SBM,
+    "recovery_table": {**_SBM, "n_clusters": (INTEGER, lambda v: v["d"]),
+                       "clusterer": (None, "kmedians")},
+    "clt_coverage": {**_SBM, "alpha": (NUMBER, 0.05, check_level)},
+    "ci_coverage": {"k": (INTEGER, 3), "signal_scale": (NUMBER, 1.0),
+                    "p": (NUMBER, 0.5, check_probability), "sigma_rel": (NUMBER, 1.0),
+                    "alpha": (NUMBER, 0.05, check_level),
+                    "entry_sample": (_COUNT, 500), "mode": (None, "one_sided"),
+                    **_SKETCH},
+    "pca_sweep": {"m": (INTEGER, 6000), "k": (INTEGER, 4),
+                  "p": (NUMBER, 0.05, check_probability), "sigma": (NUMBER, 1.0),
+                  **_SKETCH},
+    "edm_completion": {**EDM, **_SKETCH},
+}
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A Monte-Carlo plan.  ``model_params`` is kept as written;
+    ``resolved_params`` holds every parameter of the kind, defaults filled
+    in, as the runner reads them."""
+
     kind: str
     model_params: dict
     n_grid: tuple
@@ -55,6 +130,7 @@ class ExperimentPlan:
     replicates: int
     master_seed: int
     parallelism: int = 1
+    resolved_params: dict = field(init=False)
 
     def __post_init__(self):
         if self.kind not in _RUNNERS:
@@ -68,22 +144,18 @@ class ExperimentPlan:
             raise ValueError("g_list must be nonempty")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        params = self.model_params
-        if "p" in params and not 0.0 < float(params["p"]) <= 1.0:
-            raise ValueError(f"model_params 'p' must lie in (0, 1], got {params['p']!r}")
-        if "alpha" in params and not 0.0 < float(params["alpha"]) < 1.0:
-            raise ValueError(f"model_params 'alpha' must lie in (0, 1), "
-                             f"got {params['alpha']!r}")
-        k_tilde = params.get("k_tilde", 12)
-        if not isinstance(k_tilde, (int, np.integer)) or k_tilde < 1:
-            raise ValueError(f"model_params 'k_tilde' must be an integer >= 1, "
-                             f"got {k_tilde!r}")
+        where = f"{self.kind} model_params"
+        values = resolve_params(_PARAMS[self.kind], self.model_params, where)
         for n in grid:
-            resolve_a_n(params.get("a_n", "ceil_log"), n)
-            if self.kind in _SBM_KINDS:
-                check_sbm(n, *_sbm_params(params, n))
+            try:
+                # the sketch's own rules; its sizes are checked at run time
+                resolve_sketch(_model_rank(self.kind, values, n), values["k_tilde"],
+                               values["a_n"], n, max(self.g_list), stream=None)
+            except ValueError as exc:
+                raise ValueError(f"{where} at n = {n}: {exc}") from exc
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "g_list", tuple(self.g_list))
+        object.__setattr__(self, "resolved_params", values)
 
 
 @dataclass
@@ -118,32 +190,21 @@ def load_plan(source) -> ExperimentPlan:
     )
 
 
-def _rho(params, n):
-    c = float(params.get("rho_c", 1.0))
-    expo = float(params.get("rho_exponent", 0.0))
-    return c * float(n) ** expo
+def _sbm_args(v, n):
+    """gen_sbm's (n, B, pi, rho(n), d) at size n, rho(n) = rho_c n^rho_exponent."""
+    return n, v["b"], v["pi"], v["rho_c"] * float(n) ** v["rho_exponent"], v["d"]
 
 
-def _sbm_params(params, n):
-    """The plan's (B, pi, rho(n), d) for gen_sbm at size n."""
-    b = as_matrix(params.get("b", _DEFAULT_B), "B")
-    pi = np.asarray(params.get("pi", [1.0 / b.shape[0]] * b.shape[0]))
-    d = int(params.get("d", b.shape[0]))
-    return b, pi, _rho(params, n), d
-
-
-def _chain(m_hat, params, n, g_list, stream, k):
-    """Sketch outputs at every g in ``g_list`` from one chain, with the
-    plan's k_tilde (default 12) and a_n rule (default ceil(log n))."""
-    cfg = SketchConfig(k=k, k_tilde=int(params.get("k_tilde", 12)),
-                       a_n=resolve_a_n(params.get("a_n", "ceil_log"), n),
-                       g=max(g_list), stream=stream.child("sketch"))
+def _chain(m_hat, v, n, g_list, stream, k):
+    """Sketch outputs at every g in ``g_list`` from one chain."""
+    cfg = resolve_sketch(k, v["k_tilde"], v["a_n"], n, max(g_list),
+                         stream.child("sketch"))
     return rs_rsvd_sym_chain(m_hat, cfg, g_list)
 
 
-def _run_rate_regression(params, n, g_list, stream):
-    inst = gen_sbm(n, *_sbm_params(params, n), stream.child("model"))
-    outputs = _chain(inst.a, params, n, g_list, stream, k=inst.u.shape[1])
+def _run_rate_regression(v, n, g_list, stream):
+    inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
+    outputs = _chain(inst.a, v, n, g_list, stream, k=inst.u.shape[1])
     metrics = {}
     for g, out in outputs.items():
         align = procrustes_align(out.u_hat_g, inst.u)
@@ -152,35 +213,31 @@ def _run_rate_regression(params, n, g_list, stream):
     return metrics
 
 
-def _run_recovery_table(params, n, g_list, stream):
-    inst = gen_sbm(n, *_sbm_params(params, n), stream.child("model"))
-    d = inst.u.shape[1]
-    n_clusters = int(params.get("n_clusters", d))
-    clusterer = params.get("clusterer", "kmedians")
-    outputs = _chain(inst.a, params, n, g_list, stream, k=d)
+def _run_recovery_table(v, n, g_list, stream):
+    inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
+    outputs = _chain(inst.a, v, n, g_list, stream, k=inst.u.shape[1])
     metrics = {}
     for g, out in outputs.items():
-        tau_hat = cluster_rows(out.u_hat_g, n_clusters,
-                               stream.child("clustering", g), method=clusterer)
-        _, exact, err = match_labels(tau_hat, inst.tau, n_clusters)
+        tau_hat = cluster_rows(out.u_hat_g, v["n_clusters"],
+                               stream.child("clustering", g), method=v["clusterer"])
+        _, exact, err = match_labels(tau_hat, inst.tau, v["n_clusters"])
         metrics[g] = {"exact_recovery": 1.0 if exact else 0.0,
                       "error_rate": float(err)}
     return metrics
 
 
-def _run_clt_coverage(params, n, g_list, stream):
-    alpha = float(params.get("alpha", 0.05))
-    inst = gen_sbm(n, *_sbm_params(params, n), stream.child("model"))
-    beta = 1.0 + float(params.get("rho_exponent", 0.0))
+def _run_clt_coverage(v, n, g_list, stream):
+    inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
+    beta = 1.0 + v["rho_exponent"]
     k = inst.u.shape[1]
     gammas = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, beta)
     scale2 = float(n) ** (1.0 + beta)
-    outputs = _chain(inst.a, params, n, g_list, stream, k=k)
+    outputs = _chain(inst.a, v, n, g_list, stream, k=k)
     metrics = {}
     for g, out in outputs.items():
         w = procrustes_align(out.u_hat_g, inst.u).w
         diffs = out.u_hat_g @ w.T - inst.u
-        cover, used, skipped = ellipse_coverage(diffs, gammas, scale2, alpha)
+        cover, used, skipped = ellipse_coverage(diffs, gammas, scale2, v["alpha"])
         metrics[g] = {"clt_cover": cover, "clt_rows_used": float(used),
                       "clt_rows_skipped": float(skipped)}
     return metrics
@@ -220,25 +277,20 @@ def _sample_offdiag_pairs(gen, n, count):
     return pairs
 
 
-def _run_ci_coverage(params, n, g_list, stream):
-    k = int(params.get("k", 3))
-    scale = float(params.get("signal_scale", 1.0))
-    p = float(params.get("p", 0.5))
-    sigma = float(params.get("sigma_rel", 1.0)) * scale
-    alpha = float(params.get("alpha", 0.05))
-    entry_sample = int(params.get("entry_sample", 500))
-    mode = params.get("mode", "one_sided")
-    inst = gen_completion(n, k, scale, p, sigma, True, stream.child("model"))
+def _run_ci_coverage(v, n, g_list, stream):
+    scale, mode = v["signal_scale"], v["mode"]
+    inst = gen_completion(n, v["k"], scale, v["p"], v["sigma_rel"] * scale, True,
+                          stream.child("model"))
     pairs = _sample_offdiag_pairs(stream.child("entries").generator(), n,
-                                  entry_sample)
+                                  v["entry_sample"])
     truth = inst.t[pairs[:, 0], pairs[:, 1]]
     m_hat = inst.t_hat / inst.p
-    outputs = _chain(m_hat, params, n, g_list, stream, k=k)
+    outputs = _chain(m_hat, v, n, g_list, stream, k=v["k"])
     metrics = {}
     for g, out in outputs.items():
         res = CompletionResult(t_hat_g=_reconstruct(out.u_hat_g, m_hat, mode),
                                u_hat_g=out.u_hat_g, mode=mode, p_used=inst.p)
-        cis = entry_ci_batch(res, inst.t_hat, pairs, alpha)
+        cis = entry_ci_batch(res, inst.t_hat, pairs, v["alpha"])
         # containment up to roundoff, so exact-fit zero-width intervals count
         covered = [
             ci.lo - _CI_FLOAT_SLACK * max(1.0, abs(tv)) <= tv
@@ -249,16 +301,13 @@ def _run_ci_coverage(params, n, g_list, stream):
     return metrics
 
 
-def _run_pca_sweep(params, n, g_list, stream):
-    m = int(params.get("m", 6000))
-    k = int(params.get("k", 4))
-    p = float(params.get("p", 0.05))
-    sigma = float(params.get("sigma", 1.0))
-    inst = gen_missing_pca(n, m, k, p, sigma, stream.child("model"))
-    q = missing_pca_gram(inst.x_obs, p)
+def _run_pca_sweep(v, n, g_list, stream):
+    k = v["k"]
+    inst = gen_missing_pca(n, v["m"], k, v["p"], v["sigma"], stream.child("model"))
+    q = missing_pca_gram(inst.x_obs, v["p"])
     u_exact = sym_eig(q, k).vectors
     d2_exact = procrustes_align(u_exact, inst.u).residual_spectral
-    outputs = _chain(q, params, n, g_list, stream, k=k)
+    outputs = _chain(q, v, n, g_list, stream, k=k)
     return {
         g: {"d2": procrustes_align(out.u_hat_g, inst.u).residual_spectral,
             "d2_exact": d2_exact}
@@ -272,18 +321,15 @@ def _relative_entry_errors(estimate, truth):
     return np.abs((estimate - truth)[mask] / truth[mask])
 
 
-def _run_edm_completion(params, n, g_list, stream):
-    dim = int(params.get("dim", 2))
-    box = float(params.get("box", 10.0))
-    p = float(params.get("p", 0.8))
-    k = dim + 2
-    d_mat, _ = gen_edm(n, dim, box, stream.child("model"))
+def _run_edm_completion(v, n, g_list, stream):
+    p, k = v["p"], v["dim"] + 2   # a squared-distance matrix has rank dim + 2
+    d_mat, _ = gen_edm(n, v["dim"], v["box"], stream.child("model"))
     gen = stream.child("mask").generator()
     t_hat = symmetric_bernoulli(n, p, gen) * d_mat
     exact = exact_complete(t_hat, p, k, mode="one_sided")
     exact_err = float(np.median(_relative_entry_errors(exact.t_hat_g, d_mat)))
     m_hat = t_hat / p
-    outputs = _chain(m_hat, params, n, g_list, stream, k=k)
+    outputs = _chain(m_hat, v, n, g_list, stream, k=k)
     metrics = {}
     for g, out in outputs.items():
         t_hat_g = _reconstruct(out.u_hat_g, m_hat, "one_sided")
@@ -295,7 +341,6 @@ def _run_edm_completion(params, n, g_list, stream):
     return metrics
 
 
-_SBM_KINDS = ("rate_regression", "recovery_table", "clt_coverage")
 _RUNNERS = {
     "rate_regression": _run_rate_regression,
     "recovery_table": _run_recovery_table,
@@ -304,6 +349,26 @@ _RUNNERS = {
     "pca_sweep": _run_pca_sweep,
     "edm_completion": _run_edm_completion,
 }
+
+
+def _model_rank(kind, v, n):
+    """Check the kind's model at size n by the rules of the modules that
+    enforce them; returns the rank the sketch targets."""
+    if kind == "ci_coverage":
+        check_completion(n, v["k"], v["signal_scale"], v["p"],
+                         v["sigma_rel"] * v["signal_scale"])
+        check_mode(v["mode"])
+        return v["k"]
+    if kind == "pca_sweep":
+        check_missing_pca(n, v["m"], v["k"], v["p"], v["sigma"])
+        return v["k"]
+    if kind == "edm_completion":
+        check_edm(n, v["dim"], v["box"])
+        return v["dim"] + 2
+    if kind == "recovery_table":
+        check_clustering(n, v["n_clusters"], v["clusterer"])
+    check_sbm(*_sbm_args(v, n))
+    return v["d"]
 
 
 def replicate_stream(plan: ExperimentPlan, n, replicate) -> RngStream:
@@ -330,7 +395,7 @@ def run_plan(plan: ExperimentPlan, include_runtime=False) -> list:
         stream = replicate_stream(plan, n, r)
         start = time.perf_counter()
         try:
-            per_g = runner(plan.model_params, n, list(plan.g_list), stream)
+            per_g = runner(plan.resolved_params, n, list(plan.g_list), stream)
         except Exception:
             per_g = {g: {"error": 1.0} for g in plan.g_list}
         elapsed = time.perf_counter() - start

@@ -13,6 +13,7 @@ import numpy as np
 
 from .linalg import as_matrix, svd_thin, sym_eig, _fix_column_signs, _upper_tiles
 from .rng import RngStream, standard_normal
+from .stats import check_probability
 
 _ROW_BLOCK = 64   # rows of uniforms drawn at a time by symmetric_bernoulli
 
@@ -159,6 +160,36 @@ def gen_sbm(n, b, pi, rho, d, stream: RngStream) -> SbmInstance:
     return SbmInstance(a=a, core=core, tau=tau, u=u[:, :d], lam=vals[:d])
 
 
+def _check_observation(p, sigma):
+    check_probability(p)
+    if sigma < 0.0:
+        raise ValueError("sigma must be >= 0")
+
+
+def check_completion(n, k, signal_scale, p, sigma):
+    """The arguments gen_completion accepts."""
+    _check_observation(p, sigma)
+    if k < 1 or n < k:
+        raise ValueError("need 1 <= k <= n")
+    if signal_scale <= 0.0:
+        raise ValueError("signal_scale must be positive")
+
+
+def check_missing_pca(d, m, k, p, sigma):
+    """The arguments gen_missing_pca accepts."""
+    _check_observation(p, sigma)
+    if not 1 <= k <= min(d, m):
+        raise ValueError("need 1 <= k <= min(d, m)")
+
+
+def check_edm(n, dim, box):
+    """The arguments gen_edm accepts."""
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    if n < 1 or box <= 0.0:
+        raise ValueError("need n >= 1 and box > 0")
+
+
 def _homogeneous_core(k, gen, signal_scale):
     """Well-conditioned k x k core whose entries share one scale.
 
@@ -181,15 +212,7 @@ def gen_completion(n, k, signal_scale, p, sigma, homogeneous, stream: RngStream)
     well-conditioned core, giving entries of a single common scale with
     ||T||_max = signal_scale.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    if k < 1 or n < k:
-        raise ValueError("need 1 <= k <= n")
-    if signal_scale <= 0.0:
-        raise ValueError("signal_scale must be positive")
-
+    check_completion(n, k, signal_scale, p, sigma)
     gen = stream.generator()
     if homogeneous:
         labels = gen.permutation(np.arange(n) % k)
@@ -217,12 +240,7 @@ def gen_completion(n, k, signal_scale, p, sigma, homogeneous, stream: RngStream)
 
 def gen_missing_pca(d, m, k, p, sigma, stream: RngStream) -> MissingPcaInstance:
     """Factor-model data B F + N observed through a Bernoulli(p) mask."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    if not 1 <= k <= min(d, m):
-        raise ValueError("need 1 <= k <= min(d, m)")
+    check_missing_pca(d, m, k, p, sigma)
     gen = stream.generator()
     b = standard_normal(gen, (d, k))
     f = standard_normal(gen, (k, m))
@@ -256,10 +274,7 @@ def gen_edm(n, dim, box, stream: RngStream):
 
     Returns (d_mat, points).
     """
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    if n < 1 or box <= 0.0:
-        raise ValueError("need n >= 1 and box > 0")
+    check_edm(n, dim, box)
     gen = stream.generator()
     points = box * gen.random((n, dim))
     return edm_from_points(points), points

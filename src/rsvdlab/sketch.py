@@ -94,6 +94,13 @@ def resolve_a_n(rule, n: int) -> int:
                      f"'ceil_log_sq', got {rule!r}")
 
 
+def resolve_sketch(k, k_tilde, a_n, n, g, stream) -> SketchConfig:
+    """The SketchConfig for an n-dimensional input, ``a_n`` given as a rule
+    for resolve_a_n; callers supply their own defaults."""
+    return SketchConfig(k=k, k_tilde=k_tilde, a_n=resolve_a_n(a_n, n), g=g,
+                        stream=stream)
+
+
 @dataclass
 class RsvdOutput:
     u_hat_g: np.ndarray         # n x k orthonormal

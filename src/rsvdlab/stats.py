@@ -123,10 +123,21 @@ def inv_norm_cdf(p):
     return float(out[0]) if scalar else out
 
 
+def check_probability(p, name="p"):
+    """A sampling probability lies in (0, 1]; ``name`` heads the message."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {p!r}")
+
+
+def check_level(alpha, name="alpha"):
+    """A significance level lies in (0, 1); ``name`` heads the message."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {alpha!r}")
+
+
 def normal_quantile_two_sided(alpha):
     """z such that P(|N(0,1)| <= z) = 1 - alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_level(alpha)
     return inv_norm_cdf(1.0 - alpha / 2.0)
 
 

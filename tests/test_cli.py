@@ -192,6 +192,18 @@ class TestFailedRunWritesNothing:
         assert not (inputs / "out").exists()
 
 
+    def test_ci_alpha_is_checked_before_the_completion(self, inputs, capsys,
+                                                        monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the completion ran")
+        monkeypatch.setattr("rsvdlab.cli.rsvd_complete", never)
+        assert run_cli(*self.COMPLETE, "--ci=1,2,0.05", "--ci=1,2,1.5",
+                       "--out", "out") == 2
+        assert ("error: --ci '1,2,1.5': alpha must lie in (0, 1), got 1.5"
+                in capsys.readouterr().err)
+        assert not (inputs / "out").exists()
+
+
 class TestCluster:
     def test_two_clique_graph(self, tmp_path):
         inst = gen_sbm(60, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
@@ -244,6 +256,13 @@ class TestCluster:
                        "--out", str(tmp_path / "out"))
         assert code == 2
         assert f"label {label} lies outside 0..1" in capsys.readouterr().err
+
+    def test_unknown_generator_key_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("cluster", "--gen", "sbm:n=200,rh=0.5,Kk=3", "--d", "2",
+                       "--K", "2", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "--gen sbm: unknown key 'rh', 'Kk'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_reps_is_usage_error(self, tmp_path, capsys):
         code = run_cli("cluster", "--gen", "sbm:n=100", "--d", "2", "--K", "2",
@@ -468,6 +487,23 @@ class TestExperiment:
         assert run_cli("experiment", "--plan", "recovery_table_small",
                        "--out", str(out)) == 0
         assert json.loads((out / "meta.json").read_text())["plan"]["master_seed"] == 77
+
+    def test_misspelled_model_param_is_named(self, tmp_path, capsys):
+        path = self._small_plan(tmp_path, lambda plan: plan["model_params"].update(
+            rho_exponant=-0.5))
+        assert run_cli("experiment", "--plan", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+        assert ("error: recovery_table model_params: unknown key 'rho_exponant'"
+                in capsys.readouterr().err)
+
+    def test_meta_records_resolved_params(self, tmp_path):
+        out = tmp_path / "out"
+        path = self._small_plan(tmp_path, lambda plan: plan["model_params"].pop("d"))
+        assert run_cli("experiment", "--plan", str(path), "--out", str(out)) == 0
+        plan = json.loads((out / "meta.json").read_text())["plan"]
+        assert "d" not in plan["model_params"]
+        assert plan["resolved_params"]["d"] == 2
+        assert plan["resolved_params"]["rho_exponent"] == 0.0
 
     def test_unknown_plan_exit_2(self, tmp_path):
         assert run_cli("experiment", "--plan", "no_such_plan",

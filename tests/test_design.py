@@ -5,7 +5,9 @@ the package: a name that only tests call is a test reference and belongs in
 ``tests/_oracles.py``.  Whether a matrix counts as symmetric is decided in
 ``linalg.py`` alone, so the sketch and the exact baseline accept the same
 matrices.  In ``cli.py`` only ``main`` writes files, after the command has
-returned, so a failed command cannot leave partial output.
+returned, so a failed command cannot leave partial output.  Model and
+generator parameters are read only through their declared tables, so a
+default is stated once and every bundled plan passes the strict loader.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 import re
 
 import rsvdlab
+from rsvdlab.harness import load_plan
 
 SRC = Path(rsvdlab.__file__).parent
 
@@ -93,3 +96,32 @@ def test_only_cli_main_writes_outputs():
             if name in writers:
                 offenders.append(f"{getattr(top, 'name', 'module level')}: calls {name}")
     assert not offenders, f"cli.py writes outside main: {offenders}"
+
+
+# receivers of ``.get`` that are not parameter mappings
+GET_RECEIVERS = {
+    "data",          # a plan's top-level fields in load_plan
+    "os.environ",    # RSVDLAB_SEED
+    "rec.metrics",   # a record's metrics in rate_regression
+    "per_g",         # a replicate's per-g metrics in run_plan
+}
+
+
+def test_parameters_are_read_only_through_their_tables():
+    offenders = []
+    for name in ("harness.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get"
+                    and ast.unparse(node.func.value) not in GET_RECEIVERS):
+                offenders.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, f"a parameter read past its table: {offenders}"
+
+
+def test_every_bundled_plan_passes_the_strict_loader():
+    paths = sorted((SRC / "plans").glob("*.json"))
+    assert len(paths) == 9
+    for path in paths:
+        plan = load_plan(path)
+        assert set(plan.model_params) <= set(plan.resolved_params), path.name

@@ -60,13 +60,31 @@ def test_run_plan_parallelism_invariant():
     assert records_equal(serial, threaded)
 
 
-def test_pca_sweep_defaults_are_the_c8_setting():
-    # a plan that omits m and p runs at (6000, 0.05), where the exact
-    # baseline is informative, not at a chance-level setting
-    params = {"k": 2, "sigma": 1.0, "k_tilde": 6, "a_n": 2}
-    plan = ExperimentPlan(kind="pca_sweep", model_params=params, n_grid=(80,),
+SBM_DEFAULTS = {"b": B0, "pi": [0.5, 0.5], "rho_c": 1.0, "rho_exponent": 0.0,
+                "d": 2, "k_tilde": 12, "a_n": "ceil_log"}
+SPELLED_OUT_DEFAULTS = {
+    "rate_regression": SBM_DEFAULTS,
+    "recovery_table": {**SBM_DEFAULTS, "n_clusters": 2, "clusterer": "kmedians"},
+    "clt_coverage": {**SBM_DEFAULTS, "alpha": 0.05},
+    "ci_coverage": {"k": 3, "signal_scale": 1.0, "p": 0.5, "sigma_rel": 1.0,
+                    "alpha": 0.05, "entry_sample": 500, "mode": "one_sided",
+                    "k_tilde": 12, "a_n": "ceil_log"},
+    # (m, p) = (6000, 0.05) is the C8 setting, where the exact baseline is
+    # informative, not a chance-level one
+    "pca_sweep": {"m": 6000, "k": 4, "p": 0.05, "sigma": 1.0, "k_tilde": 12,
+                  "a_n": "ceil_log"},
+    "edm_completion": {"dim": 2, "box": 10.0, "p": 0.8, "k_tilde": 12,
+                       "a_n": "ceil_log"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPELLED_OUT_DEFAULTS))
+def test_omitted_params_take_the_declared_defaults(kind):
+    # a plan that omits every model parameter gives the same records as one
+    # that spells out each default literally
+    plan = ExperimentPlan(kind=kind, model_params={}, n_grid=(90,),
                           g_list=(1, 3), replicates=2, master_seed=761008)
-    explicit = replace(plan, model_params={**params, "m": 6000, "p": 0.05})
+    explicit = replace(plan, model_params=SPELLED_OUT_DEFAULTS[kind])
     records = run_plan(plan)
     assert all("error" not in rec.metrics for rec in records)
     assert records_equal(records, run_plan(explicit))
@@ -111,10 +129,14 @@ def test_plan_validation():
     ("alpha", 1.0), ("alpha", 0.0), ("alpha", 2.0),
 ])
 def test_load_plan_rejects_out_of_range_probabilities(key, value):
-    data = {"kind": "pca_sweep", "model_params": {"m": 50, key: value},
-            "n_grid": [40], "g_list": [1], "replicates": 2, "master_seed": 9}
-    with pytest.raises(ValueError, match=f"'{key}' must lie in"):
-        load_plan(data)
+    # each key is checked on every kind that reads it
+    kinds = {"p": [("pca_sweep", {"m": 50})],
+             "alpha": [("ci_coverage", {}), ("clt_coverage", {})]}[key]
+    for kind, params in kinds:
+        data = {"kind": kind, "model_params": {**params, key: value},
+                "n_grid": [40], "g_list": [1], "replicates": 2, "master_seed": 9}
+        with pytest.raises(ValueError, match=f"'{key}' must lie in"):
+            load_plan(data)
 
 
 @pytest.mark.parametrize("kind,params,message", [
@@ -130,6 +152,17 @@ def test_load_plan_rejects_out_of_range_probabilities(key, value):
     ("pca_sweep", {"k_tilde": 2.5}, "'k_tilde' must be an integer >= 1"),
     ("edm_completion", {"a_n": "ceil_sqrt"}, "a_n rule must be"),
     ("ci_coverage", {"a_n": 0}, "a_n rule must be"),
+    ("rate_regression", {"rho_exponant": -0.5},
+     "rate_regression model_params: unknown key 'rho_exponant'"),
+    ("pca_sweep", {"k": 0}, r"need 1 <= k <= min\(d, m\)"),
+    ("pca_sweep", {"sigma": -1.0}, "sigma must be >= 0"),
+    ("ci_coverage", {"mode": "two_sided"},
+     "mode must be 'one_sided' or 'symmetrized', got 'two_sided'"),
+    ("recovery_table", {"clusterer": "kmedoids"},
+     "method must be 'kmeans' or 'kmedians', got 'kmedoids'"),
+    ("recovery_table", {"n_clusters": 0}, "need 1 <= n_clusters"),
+    ("recovery_table", {"k_tilde": True}, "'k_tilde' must be an integer >= 1"),
+    ("edm_completion", {"k_tilde": 3}, "k_tilde must be >= k"),
 ])
 def test_load_plan_rejects_invalid_model_params(kind, params, message):
     # each of these used to load and then fail every replicate at run time
@@ -271,17 +304,6 @@ class TestCoverage:
         wide = mean_ci_cover(replace(plan, model_params={**params, "alpha": 0.05}))
         narrow = mean_ci_cover(replace(plan, model_params={**params, "alpha": 0.5}))
         assert narrow < wide
-
-    def test_ci_coverage_unknown_mode_is_an_error(self):
-        plan = ExperimentPlan(
-            kind="ci_coverage",
-            model_params={"k": 2, "p": 0.7, "entry_sample": 20,
-                          "k_tilde": 6, "a_n": 2, "mode": "bogus"},
-            n_grid=(60,), g_list=(1, 2), replicates=2, master_seed=313,
-        )
-        records = run_plan(plan)
-        assert len(records) == 4
-        assert all(r.metrics == {"error": 1.0} for r in records)
 
 
 class TestRecoveryTable:
