@@ -52,11 +52,14 @@ def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
     dimension cfg.k as target rank, then groups the embedding rows with
     K-means or K-medians seeded from a stream derived from cfg.stream.
     When ``truth`` labels are supplied the result carries the
-    permutation-invariant recovery flag and error rate.
+    permutation-invariant recovery flag and error rate (check_matchable
+    runs before the sketch).
     """
     a = as_matrix(a, "adjacency")
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError("adjacency must be binary")
+    if truth is not None:
+        check_matchable(n_clusters)
     out = rs_rsvd_sym(a, cfg)
     tau_hat = cluster_rows(out.u_hat_g, n_clusters,
                            cfg.stream.child("clustering"), method=clusterer)
@@ -68,12 +71,18 @@ def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
     return result
 
 
+def check_matchable(n_clusters):
+    """match_labels tries every permutation, so it takes up to 8 labels."""
+    if n_clusters > 8:
+        raise ValueError(f"exhaustive matching supports at most 8 labels, got {n_clusters}")
+
+
 def match_labels(tau_hat, tau, n_clusters=None):
     """Best label permutation between an estimated and a reference
     clustering.
 
     Returns (permuted labels, exact flag, error rate).  Exhaustive over
-    permutations of up to 8 labels via the K x K confusion matrix.
+    permutations (see check_matchable) via the K x K confusion matrix.
     """
     tau_hat = np.asarray(tau_hat, dtype=np.int64)
     tau = np.asarray(tau, dtype=np.int64)
@@ -81,8 +90,7 @@ def match_labels(tau_hat, tau, n_clusters=None):
         raise ValueError("label vectors must have equal length")
     if n_clusters is None:
         n_clusters = int(max(tau_hat.max(), tau.max())) + 1
-    if n_clusters > 8:
-        raise ValueError("exhaustive matching supports at most 8 labels")
+    check_matchable(n_clusters)
     for labels in (tau_hat, tau):
         bad = labels[(labels < 0) | (labels >= n_clusters)]
         if bad.size:

@@ -202,6 +202,13 @@ def _load_input(args, stream, kinds):
     return matrix, truth, p, {"generator": args.gen, **extra}
 
 
+def _sampling_rate(args, gen_p, missing):
+    """--p when given, else the generator's p; UsageError(missing) if neither."""
+    if args.p is None and gen_p is None:
+        raise UsageError(missing)
+    return gen_p if args.p is None else args.p
+
+
 def cmd_cluster(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0)
@@ -241,9 +248,7 @@ def cmd_complete(args):
     base = RngStream(seed, 0).child("complete")
     t_hat, truth, gen_p, src_meta = _load_input(
         args, base.child("model"), {"completion": _gen_completion, "edm": _gen_edm})
-    p = gen_p if args.p is None else args.p
-    if p is None:
-        raise UsageError("--p is required unless a generator supplies it")
+    p = _sampling_rate(args, gen_p, "--p is required unless a generator supplies it")
     try:
         p = p if p == "auto" else float(p)
     except ValueError as exc:
@@ -290,10 +295,8 @@ def cmd_complete(args):
 def cmd_pca(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("pca")
-    x_obs, _, p, src_meta = _load_input(args, base.child("model"), {"pca": _gen_pca})
-    p = args.p if p is None else p
-    if p is None:
-        raise UsageError("--p is required with an input file")
+    x_obs, _, gen_p, src_meta = _load_input(args, base.child("model"), {"pca": _gen_pca})
+    p = _sampling_rate(args, gen_p, "--p is required with an input file")
     cfg = _sketch_config(args, x_obs.shape[0], args.k, base.child("sketch"))
     u = rsvd_missing_pca(x_obs, p, cfg)
     return {"U.mm": u}, _common_meta(args, seed, base, cfg,

@@ -21,6 +21,7 @@ import numpy as np
 from .applications import (
     CompletionResult,
     _reconstruct,
+    check_matchable,
     check_mode,
     entry_ci_batch,
     exact_complete,
@@ -51,21 +52,32 @@ _CI_FLOAT_SLACK = 1e-9
 
 
 class ParamError(TypeError, ValueError):
-    """A parameter of the wrong type (a ValueError like any bad value)."""
+    """A parameter not of its declared type (a ValueError like any bad value)."""
 
 
-# parameter types: (description, accepted classes, JSON-native form); a bool
-# is never a number, and an untyped (None) parameter is left to its checks
-NUMBER = ("a number", numbers.Real, float)
-INTEGER = ("an integer", numbers.Integral, int)
-_COUNT = ("an integer >= 1", numbers.Integral, int)
+def _instance(cls):
+    return lambda v: isinstance(v, cls) and not isinstance(v, bool)
+
+
+def _counts(v):
+    """Whether ``v`` is a nonempty list of integers >= 1."""
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_COUNT[1], v))
+
+
+# parameter types: (description, test, JSON-native form); a bool is never a
+# number, and an untyped (None) parameter is left to its checks
+NUMBER = ("a number", _instance(numbers.Real), float)
+INTEGER = ("an integer", _instance(numbers.Integral), int)
+_COUNT = ("an integer >= 1", lambda v: INTEGER[1](v) and v >= 1, int)
+_REQUIRED = object()   # the default of a key that must be given
 
 
 def resolve_params(table, given, where):
     """The values of ``given`` resolved against ``table``, which maps each
     key to (type, default[, rule]): a default may be a function of the values
     resolved before it, and a rule is a check(value, name) owned by the module
-    that enforces it.  Unknown keys and wrong types raise, headed by ``where``.
+    that enforces it.  Unknown keys and wrong types raise, headed by ``where``;
+    a missing key whose default is _REQUIRED raises KeyError.
     """
     unknown = [key for key in given if key not in table]
     if unknown:
@@ -73,12 +85,11 @@ def resolve_params(table, given, where):
                          f"the keys are {', '.join(table)}")
     values = {}
     for key, (type_, default, *rules) in table.items():
-        if key not in given:
+        if key not in given and default is not _REQUIRED:
             values[key] = default(values) if callable(default) else default
             continue
-        value, name = given[key], f"{where} {key!r}"
-        if type_ and (isinstance(value, bool) or not isinstance(value, type_[1])
-                      or type_ is _COUNT and value < 1):
+        value, name = given[key], f"{where} {key!r}"   # KeyError if required
+        if type_ and not type_[1](value):
             raise ParamError(f"{name} must be {type_[0]}, got {value!r} "
                              f"({type(value).__name__})")
         values[key] = type_[2](value) if type_ else value
@@ -91,8 +102,8 @@ def _blocks(v):
     return as_matrix(v["b"], "B").shape[0]
 
 
-# every plan kind's parameters; _model_rank holds the rules that join
-# several values or depend on n.  EDM is shared with the CLI's --gen edm.
+# the rows that several plan kinds share (see _KINDS); EDM is shared with
+# the CLI's --gen edm
 _SKETCH = {"k_tilde": (_COUNT, 12), "a_n": (None, "ceil_log")}
 EDM = {"dim": (INTEGER, 2), "box": (NUMBER, 10.0),
        "p": (NUMBER, 0.8, check_probability)}
@@ -100,28 +111,26 @@ _SBM = {"b": (None, [[0.8, 0.3], [0.3, 0.8]]),
         "pi": (None, lambda v: [1.0 / _blocks(v)] * _blocks(v)),
         "rho_c": (NUMBER, 1.0), "rho_exponent": (NUMBER, 0.0),
         "d": (INTEGER, _blocks), **_SKETCH}
-_PARAMS = {
-    "rate_regression": _SBM,
-    "recovery_table": {**_SBM, "n_clusters": (INTEGER, lambda v: v["d"]),
-                       "clusterer": (None, "kmedians")},
-    "clt_coverage": {**_SBM, "alpha": (NUMBER, 0.05, check_level)},
-    "ci_coverage": {"k": (INTEGER, 3), "signal_scale": (NUMBER, 1.0),
-                    "p": (NUMBER, 0.5, check_probability), "sigma_rel": (NUMBER, 1.0),
-                    "alpha": (NUMBER, 0.05, check_level),
-                    "entry_sample": (_COUNT, 500), "mode": (None, "one_sided"),
-                    **_SKETCH},
-    "pca_sweep": {"m": (INTEGER, 6000), "k": (INTEGER, 4),
-                  "p": (NUMBER, 0.05, check_probability), "sigma": (NUMBER, 1.0),
-                  **_SKETCH},
-    "edm_completion": {**EDM, **_SKETCH},
+
+# a plan's own fields, the top-level keys of a plan file
+_FIELDS = {
+    "kind": (None, _REQUIRED),
+    "model_params": (("an object", lambda v: isinstance(v, dict), dict), lambda v: {}),
+    "n_grid": (("a strictly increasing list of positive integers",
+                lambda v: _counts(v) and list(v) == sorted(set(v)), tuple), _REQUIRED),
+    "g_list": (("a list of distinct integers >= 1",
+                lambda v: _counts(v) and len(set(v)) == len(v), tuple), _REQUIRED),
+    "replicates": (_COUNT, _REQUIRED),
+    "master_seed": (INTEGER, _REQUIRED),
+    "parallelism": (_COUNT, 1),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A Monte-Carlo plan.  ``model_params`` is kept as written;
-    ``resolved_params`` holds every parameter of the kind, defaults filled
-    in, as the runner reads them."""
+    """A Monte-Carlo plan, its fields checked against ``_FIELDS``.
+    ``model_params`` is kept as written; ``resolved_params`` holds every
+    parameter of the kind, defaults filled in, as the runner reads them."""
 
     kind: str
     model_params: dict
@@ -133,28 +142,20 @@ class ExperimentPlan:
     resolved_params: dict = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in _RUNNERS:
+        given = {name: getattr(self, name) for name in _FIELDS}
+        for name, value in resolve_params(_FIELDS, given, "plan").items():
+            object.__setattr__(self, name, value)
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        grid = tuple(self.n_grid)
-        if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be nonempty, positive and strictly increasing")
-        if not self.g_list:
-            raise ValueError("g_list must be nonempty")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         where = f"{self.kind} model_params"
-        values = resolve_params(_PARAMS[self.kind], self.model_params, where)
-        for n in grid:
+        values = resolve_params(_KINDS[self.kind][0], self.model_params, where)
+        for n in self.n_grid:
             try:
                 # the sketch's own rules; its sizes are checked at run time
                 resolve_sketch(_model_rank(self.kind, values, n), values["k_tilde"],
                                values["a_n"], n, max(self.g_list), stream=None)
             except ValueError as exc:
                 raise ValueError(f"{where} at n = {n}: {exc}") from exc
-        object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(self, "g_list", tuple(self.g_list))
         object.__setattr__(self, "resolved_params", values)
 
 
@@ -174,20 +175,11 @@ class RateFit(NamedTuple):
 
 
 def load_plan(source) -> ExperimentPlan:
-    """Build a plan from a JSON file path or an already-parsed dict."""
+    """Build a plan from a JSON file path or an already-parsed dict.  An
+    unknown field raises ValueError and a missing one KeyError."""
     if isinstance(source, (str, Path)):
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    else:
-        data = dict(source)
-    return ExperimentPlan(
-        kind=data["kind"],
-        model_params=dict(data.get("model_params", {})),
-        n_grid=tuple(data["n_grid"]),
-        g_list=tuple(data["g_list"]),
-        replicates=int(data["replicates"]),
-        master_seed=int(data["master_seed"]),
-        parallelism=int(data.get("parallelism", 1)),
-    )
+        source = json.loads(Path(source).read_text(encoding="utf-8"))
+    return ExperimentPlan(**resolve_params(_FIELDS, source, "plan"))
 
 
 def _sbm_args(v, n):
@@ -195,16 +187,9 @@ def _sbm_args(v, n):
     return n, v["b"], v["pi"], v["rho_c"] * float(n) ** v["rho_exponent"], v["d"]
 
 
-def _chain(m_hat, v, n, g_list, stream, k):
-    """Sketch outputs at every g in ``g_list`` from one chain."""
-    cfg = resolve_sketch(k, v["k_tilde"], v["a_n"], n, max(g_list),
-                         stream.child("sketch"))
-    return rs_rsvd_sym_chain(m_hat, cfg, g_list)
-
-
-def _run_rate_regression(v, n, g_list, stream):
+def _run_rate_regression(v, n, g_list, stream, cfg):
     inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
-    outputs = _chain(inst.a, v, n, g_list, stream, k=inst.u.shape[1])
+    outputs = rs_rsvd_sym_chain(inst.a, cfg, g_list)
     metrics = {}
     for g, out in outputs.items():
         align = procrustes_align(out.u_hat_g, inst.u)
@@ -213,9 +198,9 @@ def _run_rate_regression(v, n, g_list, stream):
     return metrics
 
 
-def _run_recovery_table(v, n, g_list, stream):
+def _run_recovery_table(v, n, g_list, stream, cfg):
     inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
-    outputs = _chain(inst.a, v, n, g_list, stream, k=inst.u.shape[1])
+    outputs = rs_rsvd_sym_chain(inst.a, cfg, g_list)
     metrics = {}
     for g, out in outputs.items():
         tau_hat = cluster_rows(out.u_hat_g, v["n_clusters"],
@@ -226,13 +211,12 @@ def _run_recovery_table(v, n, g_list, stream):
     return metrics
 
 
-def _run_clt_coverage(v, n, g_list, stream):
+def _run_clt_coverage(v, n, g_list, stream, cfg):
     inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
     beta = 1.0 + v["rho_exponent"]
-    k = inst.u.shape[1]
     gammas = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, beta)
     scale2 = float(n) ** (1.0 + beta)
-    outputs = _chain(inst.a, v, n, g_list, stream, k=k)
+    outputs = rs_rsvd_sym_chain(inst.a, cfg, g_list)
     metrics = {}
     for g, out in outputs.items():
         w = procrustes_align(out.u_hat_g, inst.u).w
@@ -277,7 +261,7 @@ def _sample_offdiag_pairs(gen, n, count):
     return pairs
 
 
-def _run_ci_coverage(v, n, g_list, stream):
+def _run_ci_coverage(v, n, g_list, stream, cfg):
     scale, mode = v["signal_scale"], v["mode"]
     inst = gen_completion(n, v["k"], scale, v["p"], v["sigma_rel"] * scale, True,
                           stream.child("model"))
@@ -285,7 +269,7 @@ def _run_ci_coverage(v, n, g_list, stream):
                                   v["entry_sample"])
     truth = inst.t[pairs[:, 0], pairs[:, 1]]
     m_hat = inst.t_hat / inst.p
-    outputs = _chain(m_hat, v, n, g_list, stream, k=v["k"])
+    outputs = rs_rsvd_sym_chain(m_hat, cfg, g_list)
     metrics = {}
     for g, out in outputs.items():
         res = CompletionResult(t_hat_g=_reconstruct(out.u_hat_g, m_hat, mode),
@@ -301,13 +285,13 @@ def _run_ci_coverage(v, n, g_list, stream):
     return metrics
 
 
-def _run_pca_sweep(v, n, g_list, stream):
-    k = v["k"]
-    inst = gen_missing_pca(n, v["m"], k, v["p"], v["sigma"], stream.child("model"))
+def _run_pca_sweep(v, n, g_list, stream, cfg):
+    inst = gen_missing_pca(n, v["m"], v["k"], v["p"], v["sigma"],
+                           stream.child("model"))
     q = missing_pca_gram(inst.x_obs, v["p"])
-    u_exact = sym_eig(q, k).vectors
+    u_exact = sym_eig(q, cfg.k).vectors
     d2_exact = procrustes_align(u_exact, inst.u).residual_spectral
-    outputs = _chain(q, v, n, g_list, stream, k=k)
+    outputs = rs_rsvd_sym_chain(q, cfg, g_list)
     return {
         g: {"d2": procrustes_align(out.u_hat_g, inst.u).residual_spectral,
             "d2_exact": d2_exact}
@@ -321,15 +305,14 @@ def _relative_entry_errors(estimate, truth):
     return np.abs((estimate - truth)[mask] / truth[mask])
 
 
-def _run_edm_completion(v, n, g_list, stream):
-    p, k = v["p"], v["dim"] + 2   # a squared-distance matrix has rank dim + 2
+def _run_edm_completion(v, n, g_list, stream, cfg):
     d_mat, _ = gen_edm(n, v["dim"], v["box"], stream.child("model"))
     gen = stream.child("mask").generator()
-    t_hat = symmetric_bernoulli(n, p, gen) * d_mat
-    exact = exact_complete(t_hat, p, k, mode="one_sided")
+    t_hat = symmetric_bernoulli(n, v["p"], gen) * d_mat
+    exact = exact_complete(t_hat, v["p"], cfg.k, mode="one_sided")
     exact_err = float(np.median(_relative_entry_errors(exact.t_hat_g, d_mat)))
-    m_hat = t_hat / p
-    outputs = _chain(m_hat, v, n, g_list, stream, k=k)
+    m_hat = t_hat / v["p"]
+    outputs = rs_rsvd_sym_chain(m_hat, cfg, g_list)
     metrics = {}
     for g, out in outputs.items():
         t_hat_g = _reconstruct(out.u_hat_g, m_hat, "one_sided")
@@ -341,13 +324,23 @@ def _run_edm_completion(v, n, g_list, stream):
     return metrics
 
 
-_RUNNERS = {
-    "rate_regression": _run_rate_regression,
-    "recovery_table": _run_recovery_table,
-    "clt_coverage": _run_clt_coverage,
-    "ci_coverage": _run_ci_coverage,
-    "pca_sweep": _run_pca_sweep,
-    "edm_completion": _run_edm_completion,
+# each plan kind: (its model_params table, its runner); _model_rank holds
+# the rules that join several values or depend on n, and the sketch's rank
+_KINDS = {
+    "rate_regression": (_SBM, _run_rate_regression),
+    "recovery_table": ({**_SBM, "n_clusters": (INTEGER, lambda v: v["d"]),
+                        "clusterer": (None, "kmedians")}, _run_recovery_table),
+    "clt_coverage": ({**_SBM, "alpha": (NUMBER, 0.05, check_level)},
+                     _run_clt_coverage),
+    "ci_coverage": ({"k": (INTEGER, 3), "signal_scale": (NUMBER, 1.0),
+                     "p": (NUMBER, 0.5, check_probability),
+                     "sigma_rel": (NUMBER, 1.0), "alpha": (NUMBER, 0.05, check_level),
+                     "entry_sample": (_COUNT, 500), "mode": (None, "one_sided"),
+                     **_SKETCH}, _run_ci_coverage),
+    "pca_sweep": ({"m": (INTEGER, 6000), "k": (INTEGER, 4),
+                   "p": (NUMBER, 0.05, check_probability), "sigma": (NUMBER, 1.0),
+                   **_SKETCH}, _run_pca_sweep),
+    "edm_completion": ({**EDM, **_SKETCH}, _run_edm_completion),
 }
 
 
@@ -364,9 +357,10 @@ def _model_rank(kind, v, n):
         return v["k"]
     if kind == "edm_completion":
         check_edm(n, v["dim"], v["box"])
-        return v["dim"] + 2
+        return v["dim"] + 2   # a squared-distance matrix has rank dim + 2
     if kind == "recovery_table":
         check_clustering(n, v["n_clusters"], v["clusterer"])
+        check_matchable(v["n_clusters"])
     check_sbm(*_sbm_args(v, n))
     return v["d"]
 
@@ -387,7 +381,8 @@ def run_plan(plan: ExperimentPlan, include_runtime=False) -> list:
     ``include_runtime`` adds a wall-clock metric; it is off by default
     because it breaks byte-identical reruns.
     """
-    runner = _RUNNERS[plan.kind]
+    _, runner = _KINDS[plan.kind]
+    v = plan.resolved_params
     tasks = [(n, r) for n in plan.n_grid for r in range(plan.replicates)]
 
     def execute(task):
@@ -395,7 +390,9 @@ def run_plan(plan: ExperimentPlan, include_runtime=False) -> list:
         stream = replicate_stream(plan, n, r)
         start = time.perf_counter()
         try:
-            per_g = runner(plan.resolved_params, n, list(plan.g_list), stream)
+            cfg = resolve_sketch(_model_rank(plan.kind, v, n), v["k_tilde"], v["a_n"],
+                                 n, max(plan.g_list), stream.child("sketch"))
+            per_g = runner(v, n, list(plan.g_list), stream, cfg)
         except Exception:
             per_g = {g: {"error": 1.0} for g in plan.g_list}
         elapsed = time.perf_counter() - start

@@ -1,10 +1,11 @@
 """Scalar special functions: normal quantile and chi-square quantile.
 
-Both are self-contained rational/iterative approximations so the core
-package only depends on numpy.
+Both are self-contained (a rational approximation, and a closed form
+bisected) so the core package only depends on numpy.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -141,81 +142,35 @@ def normal_quantile_two_sided(alpha):
     return inv_norm_cdf(1.0 - alpha / 2.0)
 
 
-def _reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if x < 0.0 or a <= 0.0:
-        raise ValueError("need x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        # series representation
-        term = 1.0 / a
-        total = term
-        n = a
-        for _ in range(500):
-            n += 1.0
-            term *= x / n
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(-x + a * math.log(x) - lg)
-    # continued fraction (modified Lentz) for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(-x + a * math.log(x) - lg) * h
-    return 1.0 - q
+def _chi2_cdf(df, x):
+    """P(chi2_df <= x) for an integer df >= 1, in closed form: 1 less a
+    finite Poisson sum for even df, erf less a finite sum for odd df."""
+    half, odd = x / 2.0, df % 2
+    total, term = 0.0, math.exp(-half) * (math.sqrt(2.0 * x / math.pi) if odd else 1.0)
+    for j in range(df // 2):
+        total += term
+        term *= half / (j + 1.0 + 0.5 * odd)
+    return (math.erf(math.sqrt(half)) if odd else 1.0) - total
 
 
 def chi2_quantile(df, prob):
-    """Quantile of the chi-square distribution with ``df`` degrees of freedom.
-
-    Wilson-Hilferty starting point refined by Newton steps on the
-    regularized gamma; absolute accuracy is far below the 1e-6 contract.
-    """
-    if df < 1:
-        raise ValueError("df must be >= 1")
+    """Quantile of the chi-square distribution with integer ``df`` degrees
+    of freedom: the closed-form CDF bisected down to adjacent floats."""
+    # past df = 1000 the CDF's exp(-x/2) nears underflow
+    if not isinstance(df, numbers.Integral) or not 1 <= df <= 1000:
+        raise ValueError(f"df must be an integer in [1, 1000], got {df!r}")
+    if math.isnan(prob):
+        raise ValueError("probabilities must lie in [0, 1]")
     if prob <= 0.0:
         return 0.0
     if prob >= 1.0:
         return math.inf
-    k = float(df)
-    z = inv_norm_cdf(prob)
-    t = 1.0 - 2.0 / (9.0 * k) + z * math.sqrt(2.0 / (9.0 * k))
-    x = k * t ** 3
-    if x <= 0.0:
-        x = 1e-8
-    a = k / 2.0
-    lg = math.lgamma(a)
-    for _ in range(20):
-        fx = _reg_lower_gamma(a, x / 2.0) - prob
-        # chi-square density at x
-        pdf = 0.5 * math.exp((a - 1.0) * math.log(x / 2.0) - x / 2.0 - lg)
-        if pdf <= 0.0:
-            break
-        step = fx / pdf
-        x_new = x - step
-        if x_new <= 0.0:
-            x_new = x / 2.0
-        if abs(x_new - x) <= 1e-12 * max(1.0, x):
-            x = x_new
-            break
-        x = x_new
-    return x
+    lo, hi = 0.0, float(df)
+    while _chi2_cdf(df, hi) < prob:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _chi2_cdf(df, mid) < prob:
+            lo = mid
+        else:
+            hi = mid
+    return hi

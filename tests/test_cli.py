@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rsvdlab.cli import main
+from rsvdlab.harness import load_plan
 from rsvdlab.mmio import read_matrix_market, write_matrix_market
 from rsvdlab.models import gen_sbm
 from rsvdlab.rng import RngStream
@@ -264,6 +265,17 @@ class TestCluster:
         assert "--gen sbm: unknown key 'rh', 'Kk'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_more_than_8_clusters_with_truth_fails_before_the_sketch(
+            self, tmp_path, capsys, monkeypatch):
+        def no_sketch(*args):
+            raise AssertionError("the sketch ran")
+        monkeypatch.setattr("rsvdlab.applications.rs_rsvd_sym", no_sketch)
+        code = run_cli("cluster", "--gen", "sbm:n=200", "--d", "2", "--K", "9",
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert ("exhaustive matching supports at most 8 labels, got 9"
+                in capsys.readouterr().err)
+
     def test_zero_reps_is_usage_error(self, tmp_path, capsys):
         code = run_cli("cluster", "--gen", "sbm:n=100", "--d", "2", "--K", "2",
                        "--reps", "0", "--out", str(tmp_path / "o"))
@@ -376,6 +388,18 @@ class TestComplete:
 
 
 class TestPca:
+    @pytest.mark.parametrize("command,gen,key", [
+        ("pca", "pca:d=50,m=100,k=2,p=0.5", "p"),
+        ("complete", "completion:n=100,p=0.5", "p_used"),
+    ])
+    def test_given_p_wins_over_the_generators(self, tmp_path, command, gen, key):
+        # one --p rule for both commands; pca used to keep the generator's p
+        out = tmp_path / "out"
+        assert run_cli(command, "--gen", gen, "--p", "0.3", "--k", "2",
+                       "--out", str(out)) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta[key] == 0.3 and meta["generator"] == gen
+
     def test_parity_with_exact_baseline(self, tmp_path):
         # rebuild the command's generated instance from the documented seed
         # derivation, then compare the written basis against the exact
@@ -467,6 +491,24 @@ class TestExperiment:
         assert run_cli("experiment", "--plan", str(path),
                        "--out", str(tmp_path / "o")) == 2
         assert "plan is missing required field 'kind'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,value", [
+        ("g_list", [0, 2]), ("g_list", [1.5, 2]), ("g_list", [2, 2]),
+        ("n_grid", [40.5, 60]), ("replicates", 1.7), ("paralelism", 2),
+        ("master_seed", "7"),
+    ], ids=["g0", "g1.5", "g_repeated", "n40.5", "replicates1.7", "paralelism",
+            "seed_string"])
+    def test_plan_field_fault_is_named(self, tmp_path, capsys, name, value):
+        # each of these used to load: g = 0, g = 1.5 and n = 40.5 made error
+        # rows, a repeated g repeated its records, replicates 1.7 ran once,
+        # the misspelled field was ignored and the seed was cast by int()
+        path = self._small_plan(tmp_path, lambda plan: plan.update({name: value}))
+        with pytest.raises(ValueError, match=f"^plan:? .*'{name}'"):
+            load_plan(path)
+        assert run_cli("experiment", "--plan", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_wrong_typed_plan_value_is_invalid_not_missing(self, tmp_path, capsys):
         path = self._small_plan(tmp_path,

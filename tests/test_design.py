@@ -7,7 +7,8 @@ the package: a name that only tests call is a test reference and belongs in
 matrices.  In ``cli.py`` only ``main`` writes files, after the command has
 returned, so a failed command cannot leave partial output.  Model and
 generator parameters are read only through their declared tables, so a
-default is stated once and every bundled plan passes the strict loader.
+default is stated once and every bundled plan passes the strict loader; each
+plan kind is keyed in one dict of ``harness.py``, its registry entry.
 """
 
 import ast
@@ -117,6 +118,21 @@ def test_parameters_are_read_only_through_their_tables():
                     and ast.unparse(node.func.value) not in GET_RECEIVERS):
                 offenders.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders, f"a parameter read past its table: {offenders}"
+
+
+def test_each_plan_kind_is_keyed_in_one_dict():
+    # a kind's parameter table and runner are one registry entry, so two
+    # dicts keyed by the kinds cannot disagree
+    kinds = {load_plan(path).kind for path in (SRC / "plans").glob("*.json")}
+    tree = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    keyed = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            for key in node.keys:
+                if isinstance(key, ast.Constant) and key.value in kinds:
+                    keyed.setdefault(key.value, []).append(node.lineno)
+    repeated = {kind: lines for kind, lines in keyed.items() if len(lines) > 1}
+    assert not repeated, f"plan kinds keyed in more than one dict: {repeated}"
 
 
 def test_every_bundled_plan_passes_the_strict_loader():

@@ -124,6 +124,11 @@ def test_plan_validation():
         small_rate_plan(kind="unknown")
 
 
+def test_replace_checks_the_plan_fields_again():
+    with pytest.raises(ValueError, match="plan 'g_list' must be"):
+        replace(small_rate_plan(), g_list=(0, 2))
+
+
 @pytest.mark.parametrize("key,value", [
     ("p", 1.5), ("p", 0.0), ("p", -0.2), ("p", float("nan")),
     ("alpha", 1.0), ("alpha", 0.0), ("alpha", 2.0),
@@ -163,6 +168,9 @@ def test_load_plan_rejects_out_of_range_probabilities(key, value):
     ("recovery_table", {"n_clusters": 0}, "need 1 <= n_clusters"),
     ("recovery_table", {"k_tilde": True}, "'k_tilde' must be an integer >= 1"),
     ("edm_completion", {"k_tilde": 3}, "k_tilde must be >= k"),
+    # match_labels takes at most 8 labels, and n_clusters defaults to d = 9
+    ("recovery_table", {"b": (np.eye(9) * 0.5 + 0.3).tolist()},
+     "at most 8 labels, got 9"),
 ])
 def test_load_plan_rejects_invalid_model_params(kind, params, message):
     # each of these used to load and then fail every replicate at run time

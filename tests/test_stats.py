@@ -48,6 +48,13 @@ def test_chi2_quantile_matches_scipy(df, q):
     assert chi2_quantile(df, q) == pytest.approx(ref, abs=1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("df", [2.5, 3.0, "3", 1001])
+def test_chi2_quantile_rejects_a_df_outside_its_closed_form(df):
+    # the closed-form CDF holds for integer df; past 1000, exp(-x/2) underflows
+    with pytest.raises(ValueError, match=r"df must be an integer in \[1, 1000\]"):
+        chi2_quantile(df, 0.5)
+
+
 def test_chi2_quantile_edges():
     assert chi2_quantile(3, 0.0) == 0.0
     assert chi2_quantile(3, -0.2) == 0.0
