@@ -53,13 +53,13 @@ def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
     K-means or K-medians seeded from a stream derived from cfg.stream.
     When ``truth`` labels are supplied the result carries the
     permutation-invariant recovery flag and error rate (check_matchable
-    runs before the sketch).
+    checks the count and the truth labels before the sketch).
     """
     a = as_matrix(a, "adjacency")
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError("adjacency must be binary")
     if truth is not None:
-        check_matchable(n_clusters)
+        check_matchable(n_clusters, truth)
     out = rs_rsvd_sym(a, cfg)
     tau_hat = cluster_rows(out.u_hat_g, n_clusters,
                            cfg.stream.child("clustering"), method=clusterer)
@@ -71,10 +71,15 @@ def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
     return result
 
 
-def check_matchable(n_clusters):
-    """match_labels tries every permutation, so it takes up to 8 labels."""
+def check_matchable(n_clusters, *label_sets):
+    """match_labels tries every permutation, so it takes up to 8 labels, and
+    each of ``label_sets`` must lie in 0..n_clusters - 1."""
     if n_clusters > 8:
         raise ValueError(f"exhaustive matching supports at most 8 labels, got {n_clusters}")
+    for labels in map(np.asarray, label_sets):
+        bad = labels[(labels < 0) | (labels >= n_clusters)]
+        if bad.size:
+            raise ValueError(f"label {bad[0]} lies outside 0..{n_clusters - 1}")
 
 
 def match_labels(tau_hat, tau, n_clusters=None):
@@ -90,11 +95,7 @@ def match_labels(tau_hat, tau, n_clusters=None):
         raise ValueError("label vectors must have equal length")
     if n_clusters is None:
         n_clusters = int(max(tau_hat.max(), tau.max())) + 1
-    check_matchable(n_clusters)
-    for labels in (tau_hat, tau):
-        bad = labels[(labels < 0) | (labels >= n_clusters)]
-        if bad.size:
-            raise ValueError(f"label {bad[0]} lies outside 0..{n_clusters - 1}")
+    check_matchable(n_clusters, tau_hat, tau)
     n = tau_hat.size
     confusion = np.zeros((n_clusters, n_clusters), dtype=np.int64)
     np.add.at(confusion, (tau_hat, tau), 1)

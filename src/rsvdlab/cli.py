@@ -26,17 +26,17 @@ from .applications import (
     rsvd_missing_pca,
     rsvd_spectral_cluster,
 )
-from .clustering import DegenerateClusteringError
 from .harness import (
     EDM,
     INTEGER,
     NUMBER,
+    NUMERICAL_FAILURES,
     emit_csv,
     load_plan,
     resolve_params,
     run_plan,
 )
-from .linalg import NotSymmetricError, RankDeficiencyError
+from .linalg import NotSymmetricError
 from .mmio import read_matrix_market, write_csv, write_matrix_market
 from .models import (
     gen_completion,
@@ -433,8 +433,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RankDeficiencyError, DegenerateClusteringError,
-            np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

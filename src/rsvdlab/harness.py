@@ -1,10 +1,11 @@
 """Deterministic Monte-Carlo driver for the simulation studies.
 
-Each (n, replicate) task derives its randomness from
-RngStream(master_seed, hash(kind, n, replicate)) and shares its generated
-instance across the plan's g values through one power chain, so results
-are bit-identical regardless of execution order or thread count.  Records
-are emitted one per (n, g, replicate), sorted, into a fixed CSV schema.
+A plan is checked in full when it loads.  Each (n, replicate) task derives
+its randomness from RngStream(master_seed, hash(kind, n, replicate)), draws
+its kind's instance and shares it across the plan's g values through one
+power chain, so results are bit-identical regardless of execution order or
+thread count.  Records are emitted one per (n, g, replicate), sorted, into a
+fixed CSV schema; a replicate that fails numerically gives ``error`` rows.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,6 @@ import json
 import math
 import numbers
 from pathlib import Path
-import time
 from typing import NamedTuple
 
 import numpy as np
@@ -28,8 +28,8 @@ from .applications import (
     match_labels,
     missing_pca_gram,
 )
-from .clustering import check_clustering, cluster_rows
-from .linalg import as_matrix, sym_eig
+from .clustering import DegenerateClusteringError, check_clustering, cluster_rows
+from .linalg import RankDeficiencyError, as_matrix, sym_eig
 from .mmio import write_csv
 from .models import (
     check_completion,
@@ -49,6 +49,11 @@ from .subspace import procrustes_align
 from .theory import clt_gamma_sbm_all
 
 _CI_FLOAT_SLACK = 1e-9
+
+# the failures of a sound replicate: run_plan writes them as error rows and
+# ``rsvdlab`` exits 1 on them; any other exception is a fault and propagates
+NUMERICAL_FAILURES = (RankDeficiencyError, DegenerateClusteringError,
+                      np.linalg.LinAlgError)
 
 
 class ParamError(TypeError, ValueError):
@@ -130,7 +135,7 @@ _FIELDS = {
 class ExperimentPlan:
     """A Monte-Carlo plan, its fields checked against ``_FIELDS``.
     ``model_params`` is kept as written; ``resolved_params`` holds every
-    parameter of the kind, defaults filled in, as the runner reads them."""
+    parameter of the kind, defaults filled in, as its instance reads them."""
 
     kind: str
     model_params: dict
@@ -151,9 +156,11 @@ class ExperimentPlan:
         values = resolve_params(_KINDS[self.kind][0], self.model_params, where)
         for n in self.n_grid:
             try:
-                # the sketch's own rules; its sizes are checked at run time
+                # the sketch's own rules, and its sizes on the n x n matrix
+                # that every kind sketches
                 resolve_sketch(_model_rank(self.kind, values, n), values["k_tilde"],
-                               values["a_n"], n, max(self.g_list), stream=None)
+                               values["a_n"], n, max(self.g_list),
+                               stream=None).validate_for((n, n))
             except ValueError as exc:
                 raise ValueError(f"{where} at n = {n}: {exc}") from exc
         object.__setattr__(self, "resolved_params", values)
@@ -187,44 +194,39 @@ def _sbm_args(v, n):
     return n, v["b"], v["pi"], v["rho_c"] * float(n) ** v["rho_exponent"], v["d"]
 
 
-def _run_rate_regression(v, n, g_list, stream, cfg):
+def _rate_regression(v, n, stream, cfg):
     inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
-    outputs = rs_rsvd_sym_chain(inst.a, cfg, g_list)
-    metrics = {}
-    for g, out in outputs.items():
-        align = procrustes_align(out.u_hat_g, inst.u)
-        metrics[g] = {"d2": align.residual_spectral,
-                      "d2inf": align.residual_two_inf}
-    return metrics
+
+    def measure(g, u):
+        align = procrustes_align(u, inst.u)
+        return {"d2": align.residual_spectral, "d2inf": align.residual_two_inf}
+    return inst.a, measure
 
 
-def _run_recovery_table(v, n, g_list, stream, cfg):
+def _recovery_table(v, n, stream, cfg):
     inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
-    outputs = rs_rsvd_sym_chain(inst.a, cfg, g_list)
-    metrics = {}
-    for g, out in outputs.items():
-        tau_hat = cluster_rows(out.u_hat_g, v["n_clusters"],
-                               stream.child("clustering", g), method=v["clusterer"])
+
+    def measure(g, u):
+        tau_hat = cluster_rows(u, v["n_clusters"], stream.child("clustering", g),
+                               method=v["clusterer"])
         _, exact, err = match_labels(tau_hat, inst.tau, v["n_clusters"])
-        metrics[g] = {"exact_recovery": 1.0 if exact else 0.0,
-                      "error_rate": float(err)}
-    return metrics
+        return {"exact_recovery": 1.0 if exact else 0.0, "error_rate": float(err)}
+    return inst.a, measure
 
 
-def _run_clt_coverage(v, n, g_list, stream, cfg):
+def _clt_coverage(v, n, stream, cfg):
     inst = gen_sbm(*_sbm_args(v, n), stream.child("model"))
     beta = 1.0 + v["rho_exponent"]
     gammas = clt_gamma_sbm_all(inst.core, inst.tau, inst.u, inst.lam, beta)
     scale2 = float(n) ** (1.0 + beta)
-    outputs = rs_rsvd_sym_chain(inst.a, cfg, g_list)
-    metrics = {}
-    for g, out in outputs.items():
-        w = procrustes_align(out.u_hat_g, inst.u).w
-        diffs = out.u_hat_g @ w.T - inst.u
+
+    def measure(g, u):
+        w = procrustes_align(u, inst.u).w
+        diffs = u @ w.T - inst.u
         cover, used, skipped = ellipse_coverage(diffs, gammas, scale2, v["alpha"])
-        metrics[g] = {"clt_cover": cover, "clt_rows_used": float(used),
-                      "clt_rows_skipped": float(skipped)}
-    return metrics
+        return {"clt_cover": cover, "clt_rows_used": float(used),
+                "clt_rows_skipped": float(skipped)}
+    return inst.a, measure
 
 
 def ellipse_coverage(diffs, gammas, scale2, alpha):
@@ -261,7 +263,7 @@ def _sample_offdiag_pairs(gen, n, count):
     return pairs
 
 
-def _run_ci_coverage(v, n, g_list, stream, cfg):
+def _ci_coverage(v, n, stream, cfg):
     scale, mode = v["signal_scale"], v["mode"]
     inst = gen_completion(n, v["k"], scale, v["p"], v["sigma_rel"] * scale, True,
                           stream.child("model"))
@@ -269,11 +271,10 @@ def _run_ci_coverage(v, n, g_list, stream, cfg):
                                   v["entry_sample"])
     truth = inst.t[pairs[:, 0], pairs[:, 1]]
     m_hat = inst.t_hat / inst.p
-    outputs = rs_rsvd_sym_chain(m_hat, cfg, g_list)
-    metrics = {}
-    for g, out in outputs.items():
-        res = CompletionResult(t_hat_g=_reconstruct(out.u_hat_g, m_hat, mode),
-                               u_hat_g=out.u_hat_g, mode=mode, p_used=inst.p)
+
+    def measure(g, u):
+        res = CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
+                               mode=mode, p_used=inst.p)
         cis = entry_ci_batch(res, inst.t_hat, pairs, v["alpha"])
         # containment up to roundoff, so exact-fit zero-width intervals count
         covered = [
@@ -281,22 +282,21 @@ def _run_ci_coverage(v, n, g_list, stream, cfg):
             <= ci.hi + _CI_FLOAT_SLACK * max(1.0, abs(tv))
             for ci, tv in zip(cis, truth)
         ]
-        metrics[g] = {"ci_cover": float(np.mean(covered))}
-    return metrics
+        return {"ci_cover": float(np.mean(covered))}
+    return m_hat, measure
 
 
-def _run_pca_sweep(v, n, g_list, stream, cfg):
+def _pca_sweep(v, n, stream, cfg):
     inst = gen_missing_pca(n, v["m"], v["k"], v["p"], v["sigma"],
                            stream.child("model"))
     q = missing_pca_gram(inst.x_obs, v["p"])
     u_exact = sym_eig(q, cfg.k).vectors
     d2_exact = procrustes_align(u_exact, inst.u).residual_spectral
-    outputs = rs_rsvd_sym_chain(q, cfg, g_list)
-    return {
-        g: {"d2": procrustes_align(out.u_hat_g, inst.u).residual_spectral,
-            "d2_exact": d2_exact}
-        for g, out in outputs.items()
-    }
+
+    def measure(g, u):
+        return {"d2": procrustes_align(u, inst.u).residual_spectral,
+                "d2_exact": d2_exact}
+    return q, measure
 
 
 def _relative_entry_errors(estimate, truth):
@@ -305,42 +305,42 @@ def _relative_entry_errors(estimate, truth):
     return np.abs((estimate - truth)[mask] / truth[mask])
 
 
-def _run_edm_completion(v, n, g_list, stream, cfg):
+def _edm_completion(v, n, stream, cfg):
     d_mat, _ = gen_edm(n, v["dim"], v["box"], stream.child("model"))
     gen = stream.child("mask").generator()
     t_hat = symmetric_bernoulli(n, v["p"], gen) * d_mat
     exact = exact_complete(t_hat, v["p"], cfg.k, mode="one_sided")
     exact_err = float(np.median(_relative_entry_errors(exact.t_hat_g, d_mat)))
     m_hat = t_hat / v["p"]
-    outputs = rs_rsvd_sym_chain(m_hat, cfg, g_list)
-    metrics = {}
-    for g, out in outputs.items():
-        t_hat_g = _reconstruct(out.u_hat_g, m_hat, "one_sided")
-        metrics[g] = {
+
+    def measure(g, u):
+        t_hat_g = _reconstruct(u, m_hat, "one_sided")
+        return {
             "med_rel_err": float(np.median(_relative_entry_errors(t_hat_g, d_mat))),
             "med_rel_err_exact": exact_err,
             "frob_err": float(np.linalg.norm(t_hat_g - d_mat)) / n,
         }
-    return metrics
+    return m_hat, measure
 
 
-# each plan kind: (its model_params table, its runner); _model_rank holds
-# the rules that join several values or depend on n, and the sketch's rank
+# each plan kind: (its model_params table, its instance(v, n, stream, cfg)),
+# which draws a replicate's n x n matrix and what every g shares and returns
+# (matrix, measure); measure(g, U) gives the metrics of g's basis U.
+# _model_rank holds the rules that join values or depend on n, and the rank
 _KINDS = {
-    "rate_regression": (_SBM, _run_rate_regression),
+    "rate_regression": (_SBM, _rate_regression),
     "recovery_table": ({**_SBM, "n_clusters": (INTEGER, lambda v: v["d"]),
-                        "clusterer": (None, "kmedians")}, _run_recovery_table),
-    "clt_coverage": ({**_SBM, "alpha": (NUMBER, 0.05, check_level)},
-                     _run_clt_coverage),
+                        "clusterer": (None, "kmedians")}, _recovery_table),
+    "clt_coverage": ({**_SBM, "alpha": (NUMBER, 0.05, check_level)}, _clt_coverage),
     "ci_coverage": ({"k": (INTEGER, 3), "signal_scale": (NUMBER, 1.0),
                      "p": (NUMBER, 0.5, check_probability),
                      "sigma_rel": (NUMBER, 1.0), "alpha": (NUMBER, 0.05, check_level),
                      "entry_sample": (_COUNT, 500), "mode": (None, "one_sided"),
-                     **_SKETCH}, _run_ci_coverage),
+                     **_SKETCH}, _ci_coverage),
     "pca_sweep": ({"m": (INTEGER, 6000), "k": (INTEGER, 4),
                    "p": (NUMBER, 0.05, check_probability), "sigma": (NUMBER, 1.0),
-                   **_SKETCH}, _run_pca_sweep),
-    "edm_completion": ({**EDM, **_SKETCH}, _run_edm_completion),
+                   **_SKETCH}, _pca_sweep),
+    "edm_completion": ({**EDM, **_SKETCH}, _edm_completion),
 }
 
 
@@ -361,6 +361,9 @@ def _model_rank(kind, v, n):
     if kind == "recovery_table":
         check_clustering(n, v["n_clusters"], v["clusterer"])
         check_matchable(v["n_clusters"])
+        if _blocks(v) > v["n_clusters"]:
+            raise ValueError(f"b has {_blocks(v)} blocks, more than "
+                             f"n_clusters = {v['n_clusters']}")
     check_sbm(*_sbm_args(v, n))
     return v["d"]
 
@@ -370,40 +373,32 @@ def replicate_stream(plan: ExperimentPlan, n, replicate) -> RngStream:
                      stable_hash64(plan.kind, n, replicate))
 
 
-def run_plan(plan: ExperimentPlan, include_runtime=False) -> list:
+def run_plan(plan: ExperimentPlan) -> list:
     """Execute the plan, one task per (n, replicate) covering all g.
 
-    Each replicate draws its model and sketch from
-    RngStream(master_seed, hash(kind, n, replicate)), shares the generated
-    instance across the g values (one power chain serves every g), and
-    emits one record per (n, g, replicate).  Individual task failures
-    become records with an ``error`` metric instead of aborting the plan.
-    ``include_runtime`` adds a wall-clock metric; it is off by default
-    because it breaks byte-identical reruns.
+    Each replicate draws its instance and sketch from
+    RngStream(master_seed, hash(kind, n, replicate)), makes one power chain
+    for every g and measures each g's basis with its kind's measure, one
+    record per (n, g, replicate).  A replicate that raises one of
+    NUMERICAL_FAILURES gets records with an ``error`` metric at every g;
+    any other exception propagates and ends the plan.
     """
-    _, runner = _KINDS[plan.kind]
-    v = plan.resolved_params
+    instance = _KINDS[plan.kind][1]
+    v, g_list = plan.resolved_params, list(plan.g_list)
     tasks = [(n, r) for n in plan.n_grid for r in range(plan.replicates)]
 
     def execute(task):
         n, r = task
         stream = replicate_stream(plan, n, r)
-        start = time.perf_counter()
+        cfg = resolve_sketch(_model_rank(plan.kind, v, n), v["k_tilde"], v["a_n"],
+                             n, max(g_list), stream.child("sketch"))
         try:
-            cfg = resolve_sketch(_model_rank(plan.kind, v, n), v["k_tilde"], v["a_n"],
-                                 n, max(plan.g_list), stream.child("sketch"))
-            per_g = runner(v, n, list(plan.g_list), stream, cfg)
-        except Exception:
-            per_g = {g: {"error": 1.0} for g in plan.g_list}
-        elapsed = time.perf_counter() - start
-        records = []
-        for g in plan.g_list:
-            metrics = dict(per_g.get(g, {"error": 1.0}))
-            if include_runtime:
-                metrics["runtime"] = elapsed
-            records.append(ReplicateRecord(kind=plan.kind, n=n, g=g,
-                                           replicate_id=r, metrics=metrics))
-        return records
+            m_hat, measure = instance(v, n, stream, cfg)
+            outputs = rs_rsvd_sym_chain(m_hat, cfg, g_list)
+            per_g = {g: measure(g, out.u_hat_g) for g, out in outputs.items()}
+        except NUMERICAL_FAILURES:
+            per_g = {g: {"error": 1.0} for g in g_list}
+        return [ReplicateRecord(plan.kind, n, g, r, per_g[g]) for g in g_list]
 
     if plan.parallelism > 1:
         with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:

@@ -276,6 +276,17 @@ class TestCluster:
         assert ("exhaustive matching supports at most 8 labels, got 9"
                 in capsys.readouterr().err)
 
+    def test_truth_labels_beyond_k_fail_before_the_sketch(
+            self, tmp_path, capsys, monkeypatch):
+        def no_sketch(*args):
+            raise AssertionError("the sketch ran")
+        monkeypatch.setattr("rsvdlab.applications.rs_rsvd_sym", no_sketch)
+        code = run_cli("cluster", "--gen", "sbm:n=300,K=3", "--d", "2", "--K", "2",
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "label 2 lies outside 0..1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_reps_is_usage_error(self, tmp_path, capsys):
         code = run_cli("cluster", "--gen", "sbm:n=100", "--d", "2", "--K", "2",
                        "--reps", "0", "--out", str(tmp_path / "o"))
@@ -464,13 +475,24 @@ class TestExperiment:
         # zero records is impossible by construction (replicates >= 1), so the
         # closest contract check: a plan whose tasks all fail still emits rows
         path = tmp_path / "plan.json"
-        plan["model_params"]["k_tilde"] = 500  # forces failures at all sizes
+        # the zero adjacency collapses the sketch at every size
+        plan["model_params"]["rho_c"] = 0
         path.write_text(json.dumps(plan))
         out = tmp_path / "out"
         assert run_cli("experiment", "--plan", str(path), "--out", str(out)) == 0
         lines = (out / "records.csv").read_text().splitlines()
         assert lines[0] == "kind,n,g,replicate,metric,value"
         assert all(line.split(",")[4] == "error" for line in lines[1:])
+
+    def test_oversized_sketch_fails_at_load(self, tmp_path, capsys):
+        path = self._small_plan(tmp_path, lambda plan: plan["model_params"].update(
+            k_tilde=500, a_n=1))
+        n = min(json.loads(path.read_text())["n_grid"])
+        assert run_cli("experiment", "--plan", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+        assert (f"at n = {n}: k_tilde=500 exceeds matrix dimension {n}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "plan.json"

@@ -8,7 +8,9 @@ matrices.  In ``cli.py`` only ``main`` writes files, after the command has
 returned, so a failed command cannot leave partial output.  Model and
 generator parameters are read only through their declared tables, so a
 default is stated once and every bundled plan passes the strict loader; each
-plan kind is keyed in one dict of ``harness.py``, its registry entry.
+plan kind is keyed in one dict of ``harness.py``, its registry entry.  No
+``except`` clause catches every exception, so a fault cannot turn into a
+result.
 """
 
 import ast
@@ -63,6 +65,21 @@ def test_no_public_name_is_only_used_by_tests():
     assert ALLOWED <= set(defined), "an allowlisted name no longer exists"
 
 
+def test_no_broad_except():
+    # a fault must surface with its own message, not become a result
+    broad = {"Exception", "BaseException"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            if node.type is None or broad & {ast.unparse(c) for c in caught}:
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, f"broad except clauses: {offenders}"
+
+
 def test_symmetry_is_decided_only_in_linalg():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
@@ -101,10 +118,8 @@ def test_only_cli_main_writes_outputs():
 
 # receivers of ``.get`` that are not parameter mappings
 GET_RECEIVERS = {
-    "data",          # a plan's top-level fields in load_plan
     "os.environ",    # RSVDLAB_SEED
     "rec.metrics",   # a record's metrics in rate_regression
-    "per_g",         # a replicate's per-g metrics in run_plan
 }
 
 

@@ -102,15 +102,25 @@ def test_run_plan_record_layout():
 
 
 def test_failures_become_error_rows():
-    # k_tilde larger than the smallest n makes those tasks fail, not abort
+    # rho = 0 draws the zero adjacency, on which the sketch collapses at the
+    # first power iteration (a RankDeficiencyError) in every replicate; each
+    # failed task still gives its rows and the plan runs to the end
     plan = small_rate_plan(model_params={"b": B0, "pi": [0.5, 0.5],
-                                         "rho_c": 1.0, "rho_exponent": 0.0,
-                                         "d": 2, "k_tilde": 150, "a_n": 1})
+                                         "rho_c": 0.0, "rho_exponent": 0.0,
+                                         "d": 2, "k_tilde": 8, "a_n": 2})
     records = run_plan(plan)
-    failed = [r for r in records if r.n == 100]
-    assert failed and all(r.metrics == {"error": 1.0} for r in failed)
-    ok = [r for r in records if r.n == 400]
-    assert ok and all("d2" in r.metrics for r in ok)
+    assert len(records) == 3 * 2 * 3
+    assert all(r.metrics == {"error": 1.0} for r in records)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_other_exceptions_propagate_out_of_run_plan(monkeypatch, parallelism):
+    # only NUMERICAL_FAILURES become error rows; a fault keeps its message
+    def broken(*args):
+        raise ValueError("broken alignment")
+    monkeypatch.setattr("rsvdlab.harness.procrustes_align", broken)
+    with pytest.raises(ValueError, match="broken alignment"):
+        run_plan(small_rate_plan(parallelism=parallelism))
 
 
 def test_plan_validation():
@@ -171,6 +181,14 @@ def test_load_plan_rejects_out_of_range_probabilities(key, value):
     # match_labels takes at most 8 labels, and n_clusters defaults to d = 9
     ("recovery_table", {"b": (np.eye(9) * 0.5 + 0.3).tolist()},
      "at most 8 labels, got 9"),
+    # the truth labels take K = 3 values, which 2 clusters cannot match
+    ("recovery_table", {"b": (np.eye(3) * 0.5 + 0.3).tolist(), "n_clusters": 2},
+     "b has 3 blocks, more than n_clusters = 2"),
+    # the sketch's sizes: k_tilde, and a_n * k_tilde, at most n
+    ("rate_regression", {"k_tilde": 150, "a_n": 1},
+     "at n = 100: k_tilde=150 exceeds matrix dimension 100"),
+    ("pca_sweep", {"k_tilde": 30, "a_n": 5},
+     r"at n = 100: combined sketch width a_n\*k_tilde=150 exceeds matrix dimension 100"),
 ])
 def test_load_plan_rejects_invalid_model_params(kind, params, message):
     # each of these used to load and then fail every replicate at run time
@@ -350,14 +368,6 @@ def test_emit_csv(tmp_path):
         cells = line.split(",")
         assert cells[0] == "rate_regression"
         assert float(cells[5]) == rec.metrics["d2"]  # 17-digit round trip
-
-
-def test_runtime_metric_is_opt_in():
-    plan = small_rate_plan(n_grid=(100, 150, 200), replicates=1)
-    records = run_plan(plan, include_runtime=True)
-    assert all("runtime" in r.metrics for r in records)
-    records2 = run_plan(plan)
-    assert all("runtime" not in r.metrics for r in records2)
 
 
 def test_chi2_threshold_used_by_coverage():
