@@ -13,7 +13,9 @@ from rsvdlab.harness import (
     rate_slopes,
     run_plan,
 )
+from rsvdlab.linalg import RankDeficiencyError
 from rsvdlab.rng import RngStream
+from rsvdlab.sketch import rs_rsvd_sym_chain
 from rsvdlab.stats import chi2_quantile
 
 B0 = [[0.8, 0.3], [0.3, 0.8]]
@@ -101,16 +103,19 @@ def test_run_plan_record_layout():
         assert all(np.isfinite(v) for v in r.metrics.values())
 
 
-def test_failures_become_error_rows():
-    # rho = 0 draws the zero adjacency, on which the sketch collapses at the
-    # first power iteration (a RankDeficiencyError) in every replicate; each
-    # failed task still gives its rows and the plan runs to the end
-    plan = small_rate_plan(model_params={"b": B0, "pi": [0.5, 0.5],
-                                         "rho_c": 0.0, "rho_exponent": 0.0,
-                                         "d": 2, "k_tilde": 8, "a_n": 2})
-    records = run_plan(plan)
-    assert len(records) == 3 * 2 * 3
-    assert all(r.metrics == {"error": 1.0} for r in records)
+def test_failures_become_error_rows(monkeypatch):
+    # a numerical failure in the n = 100 tasks gives error rows there and
+    # leaves the n = 400 tasks of the same plan to run and measure as usual
+    def fails_at_100(m_hat, cfg, g_list):
+        if m_hat.shape[0] == 100:
+            raise RankDeficiencyError("forced at n = 100")
+        return rs_rsvd_sym_chain(m_hat, cfg, g_list)
+    monkeypatch.setattr("rsvdlab.harness.rs_rsvd_sym_chain", fails_at_100)
+    records = run_plan(small_rate_plan())
+    failed = [r for r in records if r.n == 100]
+    assert failed and all(r.metrics == {"error": 1.0} for r in failed)
+    ok = [r for r in records if r.n == 400]
+    assert ok and all("d2" in r.metrics for r in ok)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
