@@ -35,6 +35,7 @@ from .applications import (
     ClusteringResult,
     CompletionResult,
     EntryCI,
+    complete,
     entry_ci_batch,
     exact_complete,
     match_labels,

@@ -1,8 +1,9 @@
 """Downstream inference built on the randomized sketch: spectral
 clustering for community detection, matrix completion with entrywise
 confidence intervals, and PCA from partially observed data.  Each reads
-its target rank from SketchConfig.k and uses only the sketch's basis U;
-``_reconstruct`` is the one place the completion estimate is formed.
+its target rank from SketchConfig.k and uses only the sketch's basis U.
+The CLI and the harness form the completion estimate with ``complete`` and
+its entrywise intervals with ``entry_ci_batch``, and nowhere else.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from .clustering import cluster_rows
 from .linalg import as_matrix, sym_eig
 from .sketch import SketchConfig, rs_rsvd_sym
-from .stats import check_probability, normal_quantile_two_sided
+from .stats import check_level, check_probability, normal_quantile_two_sided
 
 
 @dataclass
@@ -29,6 +30,7 @@ class ClusteringResult:
 class CompletionResult:
     t_hat_g: np.ndarray
     u_hat_g: np.ndarray
+    m_hat: np.ndarray   # the rescaled observation T_hat / p_used
     mode: str
     p_used: float
 
@@ -37,11 +39,11 @@ class CompletionResult:
 class EntryCI:
     i: int
     j: int
+    alpha: float
     estimate: float
     v_hat: float
     lo: float
     hi: float
-    alpha: float
 
 
 def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
@@ -52,20 +54,23 @@ def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
     dimension cfg.k as target rank, then groups the embedding rows with
     K-means or K-medians seeded from a stream derived from cfg.stream.
     When ``truth`` labels are supplied the result carries the
-    permutation-invariant recovery flag and error rate (check_matchable
-    checks the count and the truth labels before the sketch).
+    permutation-invariant recovery flag and error rate (the truth's length
+    and labels and the count are checked before the sketch).
     """
     a = as_matrix(a, "adjacency")
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError("adjacency must be binary")
     if truth is not None:
+        truth = np.asarray(truth)
+        if truth.shape != (a.shape[0],):
+            raise ValueError(f"truth holds {truth.size} labels for {a.shape[0]} nodes")
         check_matchable(n_clusters, truth)
     out = rs_rsvd_sym(a, cfg)
     tau_hat = cluster_rows(out.u_hat_g, n_clusters,
                            cfg.stream.child("clustering"), method=clusterer)
     result = ClusteringResult(tau_hat=tau_hat, u_hat_g=out.u_hat_g)
     if truth is not None:
-        _, exact, err = match_labels(tau_hat, np.asarray(truth), n_clusters)
+        _, exact, err = match_labels(tau_hat, truth, n_clusters)
         result.exact_recovery = exact
         result.error_rate = err
     return result
@@ -110,23 +115,17 @@ def match_labels(tau_hat, tau, n_clusters=None):
     return permuted, bool(best_hits == n), float(error_rate)
 
 
-def estimate_sampling_rate(t_hat) -> float:
-    """Observed fraction of entries, counting zeros as missing (ambiguous
-    only if the signal itself has exact zeros)."""
-    t_hat = as_matrix(t_hat, "observed matrix")
-    frac = float(np.mean(t_hat != 0.0))
-    if frac <= 0.0:
-        raise ValueError("estimated sampling rate is zero")
-    return frac
-
-
-def _completion_inputs(t_hat, p):
-    """The rescaled observation T_hat / p and the sampling rate used."""
+def _rescale(t_hat, p):
+    """The rescaled observation T_hat / p and the sampling rate used; p
+    "auto" is the observed fraction of entries, counting zeros as missing
+    (ambiguous only if the signal itself has exact zeros)."""
     t_hat = as_matrix(t_hat, "observed matrix")
     if isinstance(p, str):
         if p != "auto":
             raise ValueError("p must be a probability or 'auto'")
-        p_used = estimate_sampling_rate(t_hat)
+        p_used = float(np.mean(t_hat != 0.0))
+        if p_used <= 0.0:
+            raise ValueError("estimated sampling rate is zero")
     else:
         p_used = float(p)
         check_probability(p_used)
@@ -139,67 +138,73 @@ def check_mode(mode):
         raise ValueError(f"mode must be 'one_sided' or 'symmetrized', got {mode!r}")
 
 
-def _reconstruct(u, m_hat, mode):
-    """Low-rank estimate from the basis ``u``: U U^T M_hat for "one_sided",
-    its symmetric average for "symmetrized"."""
+def complete(u, m_hat, p_used, mode) -> CompletionResult:
+    """The completion estimate from the basis ``u`` of the rescaled
+    observation m_hat = T_hat / p_used: U U^T M_hat for "one_sided", its
+    symmetric average for "symmetrized"."""
     check_mode(mode)
     b = u @ (u.T @ m_hat)
-    return b if mode == "one_sided" else (b + b.T) / 2.0
+    return CompletionResult(t_hat_g=b if mode == "one_sided" else (b + b.T) / 2.0,
+                            u_hat_g=u, m_hat=m_hat, mode=mode, p_used=p_used)
 
 
 def rsvd_complete(t_hat, p, cfg: SketchConfig, mode="one_sided") -> CompletionResult:
     """Low-rank completion of a partially observed symmetric matrix.
 
-    Scales the observation by 1/p, sketches it at rank cfg.k, and projects
-    onto the estimated singular subspace: one_sided returns
-    U U^T (T_hat / p), symmetrized its symmetric average.  ``p`` may be the
-    string "auto" to estimate the sampling rate from the data.
+    Scales the observation by 1/p, sketches it at rank cfg.k, and completes
+    it from the sketch's basis (see ``complete``).  ``p`` may be the string
+    "auto" to estimate the sampling rate from the data.
     """
-    m_hat, p_used = _completion_inputs(t_hat, p)
-    u = rs_rsvd_sym(m_hat, cfg).u_hat_g
-    return CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
-                            mode=mode, p_used=p_used)
+    m_hat, p_used = _rescale(t_hat, p)
+    return complete(rs_rsvd_sym(m_hat, cfg).u_hat_g, m_hat, p_used, mode)
 
 
 def exact_complete(t_hat, p, k, mode="one_sided") -> CompletionResult:
     """Completion baseline using the exact k leading (by magnitude)
     eigenvectors of the rescaled observation instead of the sketch."""
-    m_hat, p_used = _completion_inputs(t_hat, p)
-    u = sym_eig(m_hat, k).vectors
-    return CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
-                            mode=mode, p_used=p_used)
+    m_hat, p_used = _rescale(t_hat, p)
+    return complete(sym_eig(m_hat, k).vectors, m_hat, p_used, mode)
 
 
-def entry_ci_batch(result: CompletionResult, t_hat, indices, alpha) -> list:
-    """Normal-approximation confidence intervals for selected entries.
+def check_entries(specs, n, name=None):
+    """Each (i, j, alpha) of ``specs`` names an entry of an n x n matrix and a
+    level in (0, 1); ``name`` (default "entry (i, j)") heads the messages."""
+    for i, j, alpha in specs:
+        head = f"entry ({i}, {j})" if name is None else name
+        for idx in (i, j):
+            if not 0 <= idx < n:
+                raise ValueError(f"{head}: index {idx} lies outside 0..{n - 1}")
+        check_level(alpha, f"{head}: alpha")
+
+
+def entry_ci_batch(result: CompletionResult, specs) -> list:
+    """Normal-approximation confidence intervals, one per (i, j, alpha) of
+    ``specs``, in their order; levels may differ from spec to spec.
 
     The variance proxy for entry (i, j) combines the squared residual
     matrix with the squared projector: sum_{l != j} E2[i,l] z2[l,j]
     + sum_{l != i} E2[l,j] z2[i,l] + E2[i,j] (z[i,i] + z[j,j])^2, all
-    computed from sketch outputs alone.
+    computed from sketch outputs alone, once per call.
     """
-    z = normal_quantile_two_sided(alpha)
-    t_hat = as_matrix(t_hat, "observed matrix")
-    n = t_hat.shape[0]
-    indices = [(int(i), int(j)) for i, j in indices]
-    for i, j in indices:
-        for idx in (i, j):
-            if not 0 <= idx < n:
-                raise ValueError(f"entry ({i}, {j}): index {idx} lies outside 0..{n - 1}")
+    specs = [(int(i), int(j), alpha) for i, j, alpha in specs]
+    check_entries(specs, result.m_hat.shape[0])
+    if not specs:
+        return []
+    z = {alpha: normal_quantile_two_sided(alpha) for alpha in {s[2] for s in specs}}
     zeta = result.u_hat_g @ result.u_hat_g.T
-    e_hat = result.t_hat_g - t_hat / result.p_used
-    e2 = e_hat * e_hat
+    e2 = result.t_hat_g - result.m_hat
+    e2 *= e2
     z2 = zeta * zeta
     out = []
-    for i, j in indices:
+    for i, j, alpha in specs:
         v = float(e2[i, :] @ z2[:, j]) - e2[i, j] * z2[j, j]
         v += float(e2[:, j] @ z2[i, :]) - e2[i, j] * z2[i, i]
         v += e2[i, j] * (zeta[i, i] + zeta[j, j]) ** 2
         v = max(v, 0.0)
         est = float(result.t_hat_g[i, j])
-        half = z * np.sqrt(v)
-        out.append(EntryCI(i=i, j=j, estimate=est, v_hat=v,
-                           lo=est - half, hi=est + half, alpha=alpha))
+        half = z[alpha] * np.sqrt(v)
+        out.append(EntryCI(i=i, j=j, alpha=alpha, estimate=est, v_hat=v,
+                           lo=est - half, hi=est + half))
     return out
 
 

@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage or parse error.
 """
 
 import argparse
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from importlib import resources
 import json
 import os
@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .applications import (
+    check_entries,
     entry_ci_batch,
     exact_complete,
     rsvd_complete,
@@ -47,7 +48,7 @@ from .models import (
 )
 from .rng import RngStream
 from .sketch import resolve_a_n, resolve_sketch, rs_rsvd_asym, rs_rsvd_sym
-from .stats import check_level, check_probability
+from .stats import check_probability
 
 DEFAULT_SEED = 20240501
 
@@ -190,6 +191,8 @@ def _load_input(args, stream, kinds):
     --gen generator named in ``kinds`` ({kind: function}), which draws from
     ``stream``; truth and p are None where the source gives none."""
     named = " or ".join(f"{kind}:..." for kind in kinds)
+    if args.gen is not None and args.input is not None:
+        raise UsageError("give an input file or --gen, not both")
     if args.gen is None:
         if args.input is None:
             raise UsageError(f"provide an input file or --gen {named}")
@@ -217,12 +220,14 @@ def cmd_cluster(args):
         raise UsageError(f"--reps must be >= 1, got {reps}")
     if reps > 1 and args.gen is None:
         raise UsageError("--reps > 1 requires --gen")
+    if args.truth is not None and args.gen is not None:
+        raise UsageError("give --truth or --gen, not both (--gen draws the truth)")
     recovery_rows = []
     for rep in range(reps):
         stream = base.child("cluster", rep)
         a, truth, _, meta_src = _load_input(args, stream.child("model"),
                                             {"sbm": _gen_sbm})
-        if args.gen is None and args.truth:
+        if args.truth:
             truth = np.loadtxt(args.truth, dtype=np.int64, ndmin=1)
         cfg = _sketch_config(args, a.shape[0], args.d, stream.child("sketch"))
         result = rsvd_spectral_cluster(a, args.K, cfg,
@@ -264,23 +269,14 @@ def cmd_complete(args):
             i, j, alpha = int(i), int(j), float(alpha)
         except ValueError:
             raise UsageError(f"--ci expects 'i,j,alpha', got {spec!r}") from None
-        for idx in (i, j):
-            if not 0 <= idx < n:
-                raise UsageError(f"--ci {spec!r}: index {idx} lies outside 0..{n - 1}")
-        check_level(alpha, f"--ci {spec!r}: alpha")
+        check_entries([(i, j, alpha)], n, f"--ci {spec!r}")
         specs.append((i, j, alpha))
     if args.exact:
         result = exact_complete(t_hat, p, args.k, mode=args.mode)
     else:
         result = rsvd_complete(t_hat, p, cfg, mode=args.mode)
-    # one batch per distinct alpha builds the n x n CI matrices once each;
-    # rows keep the order the flags were given in
-    ci_rows = [None] * len(specs)
-    for alpha in dict.fromkeys(spec[2] for spec in specs):
-        slots = [idx for idx, spec in enumerate(specs) if spec[2] == alpha]
-        cis = entry_ci_batch(result, t_hat, [specs[idx][:2] for idx in slots], alpha)
-        for idx, ci in zip(slots, cis):
-            ci_rows[idx] = (ci.i, ci.j, ci.alpha, ci.estimate, ci.v_hat, ci.lo, ci.hi)
+    # one batch for every level; rows in flag order, columns in EntryCI's
+    ci_rows = [astuple(ci) for ci in entry_ci_batch(result, specs)]
     files = {"completed.mm": result.t_hat_g,
              "ci.csv": (("i", "j", "alpha", "estimate", "v_hat", "lo", "hi"), ci_rows)}
     extra = {"k": args.k, "p_used": result.p_used, "mode": result.mode,

@@ -19,10 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .applications import (
-    CompletionResult,
-    _reconstruct,
     check_matchable,
     check_mode,
+    complete,
     entry_ci_batch,
     exact_complete,
     match_labels,
@@ -270,12 +269,11 @@ def _ci_coverage(v, n, stream, cfg):
     pairs = _sample_offdiag_pairs(stream.child("entries").generator(), n,
                                   v["entry_sample"])
     truth = inst.t[pairs[:, 0], pairs[:, 1]]
+    specs = [(i, j, v["alpha"]) for i, j in pairs]
     m_hat = inst.t_hat / inst.p
 
     def measure(g, u):
-        res = CompletionResult(t_hat_g=_reconstruct(u, m_hat, mode), u_hat_g=u,
-                               mode=mode, p_used=inst.p)
-        cis = entry_ci_batch(res, inst.t_hat, pairs, v["alpha"])
+        cis = entry_ci_batch(complete(u, m_hat, inst.p, mode), specs)
         # containment up to roundoff, so exact-fit zero-width intervals count
         covered = [
             ci.lo - _CI_FLOAT_SLACK * max(1.0, abs(tv)) <= tv
@@ -311,16 +309,15 @@ def _edm_completion(v, n, stream, cfg):
     t_hat = symmetric_bernoulli(n, v["p"], gen) * d_mat
     exact = exact_complete(t_hat, v["p"], cfg.k, mode="one_sided")
     exact_err = float(np.median(_relative_entry_errors(exact.t_hat_g, d_mat)))
-    m_hat = t_hat / v["p"]
 
     def measure(g, u):
-        t_hat_g = _reconstruct(u, m_hat, "one_sided")
+        t_hat_g = complete(u, exact.m_hat, exact.p_used, "one_sided").t_hat_g
         return {
             "med_rel_err": float(np.median(_relative_entry_errors(t_hat_g, d_mat))),
             "med_rel_err_exact": exact_err,
             "frob_err": float(np.linalg.norm(t_hat_g - d_mat)) / n,
         }
-    return m_hat, measure
+    return exact.m_hat, measure
 
 
 # each plan kind: (its model_params table, its instance(v, n, stream, cfg)),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsvdlab.applications import (
+    complete,
     entry_ci_batch,
-    estimate_sampling_rate,
     exact_complete,
     match_labels,
     missing_pca_gram,
@@ -11,7 +12,7 @@ from rsvdlab.applications import (
     rsvd_missing_pca,
     rsvd_spectral_cluster,
 )
-from rsvdlab.linalg import sym_eig
+from rsvdlab.linalg import signed_qr, sym_eig
 from rsvdlab.models import gen_completion, gen_missing_pca, gen_sbm
 from rsvdlab.rng import RngStream
 from rsvdlab.sketch import SketchConfig
@@ -52,6 +53,20 @@ class TestClustering:
         with pytest.raises(ValueError):
             rsvd_spectral_cluster(np.full((4, 4), 0.5), 2,
                                   cfg_for(RngStream(70, 6)))
+
+    def test_short_truth_fails_before_the_sketch(self, monkeypatch):
+        inst = gen_sbm(60, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
+                       RngStream(70, 7))
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            raise AssertionError("the sketch ran")
+        monkeypatch.setattr("rsvdlab.applications.rs_rsvd_sym", spy)
+        with pytest.raises(ValueError, match="truth holds 50 labels for 60 nodes"):
+            rsvd_spectral_cluster(inst.a, 2, cfg_for(RngStream(70, 8)),
+                                  truth=inst.tau[:50])
+        assert calls == []
 
 
 class TestMatchLabels:
@@ -130,15 +145,15 @@ class TestCompletion:
         res = rsvd_complete(inst.t_hat, "auto", cfg_for(RngStream(71, 7)))
         observed = float(np.mean(inst.omega != 0.0))
         assert res.p_used == pytest.approx(observed)
-        with pytest.raises(ValueError):
-            estimate_sampling_rate(np.zeros((5, 5)))
+        with pytest.raises(ValueError, match="estimated sampling rate is zero"):
+            exact_complete(np.zeros((5, 5)), "auto", 2)
 
 
 class TestEntryCI:
     def test_perfect_fit_zero_width(self):
         inst = gen_completion(40, 2, 1.0, 1.0, 0.0, True, RngStream(72, 0))
         res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(72, 1)))
-        ci = entry_ci_batch(res, inst.t_hat, [(3, 7)], 0.05)[0]
+        ci = entry_ci_batch(res, [(3, 7, 0.05)])[0]
         assert ci.v_hat <= 1e-16
         assert ci.hi - ci.lo <= 1e-7
         assert ci.lo <= ci.estimate <= ci.hi
@@ -147,16 +162,14 @@ class TestEntryCI:
         inst = gen_completion(100, 2, 1.0, 0.7, 0.5, True, RngStream(72, 2))
         res = rsvd_complete(inst.t_hat, inst.p, cfg_for(RngStream(72, 3)),
                             mode="symmetrized")
-        a = entry_ci_batch(res, inst.t_hat, [(4, 9)], 0.05)[0]
-        b = entry_ci_batch(res, inst.t_hat, [(9, 4)], 0.05)[0]
+        a, b = entry_ci_batch(res, [(4, 9, 0.05), (9, 4, 0.05)])
         assert a.v_hat == pytest.approx(b.v_hat, abs=1e-12)
 
     def test_width_scales_with_quantile(self):
         inst = gen_completion(100, 2, 1.0, 0.7, 0.5, True, RngStream(72, 4))
         res = rsvd_complete(inst.t_hat, inst.p, cfg_for(RngStream(72, 5)))
         from rsvdlab.stats import normal_quantile_two_sided
-        a = entry_ci_batch(res, inst.t_hat, [(2, 11)], 0.05)[0]
-        b = entry_ci_batch(res, inst.t_hat, [(2, 11)], 0.3173)[0]
+        a, b = entry_ci_batch(res, [(2, 11, 0.05), (2, 11, 0.3173)])
         ratio = (a.hi - a.lo) / (b.hi - b.lo)
         expected = normal_quantile_two_sided(0.05) / normal_quantile_two_sided(0.3173)
         assert ratio == pytest.approx(expected, rel=1e-12)
@@ -168,7 +181,7 @@ class TestEntryCI:
         cfg = SketchConfig(k=3, k_tilde=8, a_n=8, g=4, stream=RngStream(72, 7))
         res = rsvd_complete(inst.t_hat, inst.p, cfg)
         pairs = [(11, 700), (23, 1404), (901, 55), (1200, 301), (4, 1499)]
-        cis = entry_ci_batch(res, inst.t_hat, pairs, 0.05)
+        cis = entry_ci_batch(res, [(i, j, 0.05) for i, j in pairs])
         for ci in cis:
             oracle = vstar_oracle(inst.t, inst.u, inst.p, inst.sigma, ci.i, ci.j)
             assert 0.5 <= ci.v_hat / oracle <= 2.0
@@ -177,14 +190,43 @@ class TestEntryCI:
         inst = gen_completion(30, 2, 1.0, 1.0, 0.0, True, RngStream(72, 8))
         res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(72, 9)))
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            entry_ci_batch(res, inst.t_hat, [(0, 1)], 1.5)
+            entry_ci_batch(res, [(0, 1, 1.5)])
 
     @pytest.mark.parametrize("pair, bad", [((0, 30), 30), ((-1, 4), -1), ((2, -30), -30)])
     def test_index_outside_matrix_rejected(self, pair, bad):
         inst = gen_completion(30, 2, 1.0, 1.0, 0.0, True, RngStream(72, 8))
         res = rsvd_complete(inst.t_hat, 1.0, cfg_for(RngStream(72, 9)))
         with pytest.raises(ValueError, match=f"index {bad} lies outside 0..29"):
-            entry_ci_batch(res, inst.t_hat, [(1, 2), pair], 0.05)
+            entry_ci_batch(res, [(1, 2, 0.05), (*pair, 0.05)])
+
+
+_LEVELS = st.sampled_from([0.01, 0.05, 0.1, 0.3173, 0.5, 0.9])
+
+
+def _bits(ci):
+    return ci.i, ci.j, ci.alpha, np.array([ci.estimate, ci.v_hat, ci.lo, ci.hi]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(["one_sided", "symmetrized"]), data=st.data())
+def test_one_mixed_batch_equals_one_call_per_spec(n, k, seed, mode, data):
+    # one call with mixed levels, repeated specs and diagonal entries gives
+    # each spec the interval a call of its own gives, bit for bit
+    k = min(k, n)
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, n))
+    u = signed_qr(gen.standard_normal((n, k)))[0]
+    res = complete(u, (a + a.T) / 2.0, 0.5, mode)
+    index = st.integers(0, n - 1)
+    specs = data.draw(st.lists(st.tuples(index, index, _LEVELS), min_size=1,
+                               max_size=8))
+    if data.draw(st.booleans()):
+        specs += [specs[0], (specs[0][0], specs[0][0], specs[0][2])]
+    batch = entry_ci_batch(res, specs)
+    assert [(ci.i, ci.j, ci.alpha) for ci in batch] == specs
+    for spec, ci in zip(specs, batch):
+        assert [_bits(one) for one in entry_ci_batch(res, [spec])] == [_bits(ci)]
 
 
 class TestMissingPca:

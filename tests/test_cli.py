@@ -169,6 +169,7 @@ class TestFailedRunWritesNothing:
         truth = inst.tau.copy()
         truth[7] = 5
         np.savetxt(tmp_path / "truth.txt", truth, fmt="%d")
+        np.savetxt(tmp_path / "short.txt", inst.tau[:50], fmt="%d")
         monkeypatch.chdir(tmp_path)
         return tmp_path
 
@@ -183,10 +184,21 @@ class TestFailedRunWritesNothing:
          "--reps must be >= 1, got 0"),
         (["cluster", "sbm.mtx", "--d", "2", "--K", "2", "--truth", "truth.txt"], 2,
          "label 5 lies outside 0..1"),
+        (["cluster", "sbm.mtx", "--d", "2", "--K", "2", "--truth", "short.txt"], 2,
+         "error: truth holds 50 labels for 60 nodes"),
         (["svd", "asym.mtx", "--k", "1", "--sym"], 2, "not symmetric"),
         (["svd", "rank1.mtx", "--k", "2"], 1, "numerical failure: "),
+        # one input source per run: a file or --gen, and --truth only with a file
+        (["complete", "missing.mtx", "--gen", "completion:n=100", "--k", "2"], 2,
+         "error: give an input file or --gen, not both"),
+        (["pca", "missing.mtx", "--gen", "pca:d=50,m=100,k=2", "--k", "2"], 2,
+         "error: give an input file or --gen, not both"),
+        (["cluster", "--gen", "sbm:n=200", "--d", "2", "--K", "2",
+          "--truth", "missing.txt"], 2, "error: give --truth or --gen, not both"),
     ], ids=["ci-two-fields", "ci-not-an-int", "ci-index", "cluster-zero-reps",
-            "cluster-truth-label", "svd-sym-asymmetric", "svd-rank-deficient"])
+            "cluster-truth-label", "cluster-truth-length", "svd-sym-asymmetric",
+            "svd-rank-deficient", "complete-file-and-gen", "pca-file-and-gen",
+            "cluster-truth-and-gen"])
     def test_out_is_not_created(self, inputs, capsys, argv, code, message):
         assert run_cli(*argv, "--out", "out") == code
         assert message in capsys.readouterr().err
@@ -287,6 +299,20 @@ class TestCluster:
         assert "label 2 lies outside 0..1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_short_truth_fails_before_the_sketch(self, tmp_path, capsys, monkeypatch):
+        def no_sketch(*args):
+            raise AssertionError("the sketch ran")
+        monkeypatch.setattr("rsvdlab.applications.rs_rsvd_sym", no_sketch)
+        inst = gen_sbm(60, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
+                       RngStream(61, 0))
+        write_matrix_market(tmp_path / "a.mm", inst.a)
+        np.savetxt(tmp_path / "truth.txt", inst.tau[:50], fmt="%d")
+        code = run_cli("cluster", str(tmp_path / "a.mm"), "--d", "2", "--K", "2",
+                       "--truth", str(tmp_path / "truth.txt"),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "truth holds 50 labels for 60 nodes" in capsys.readouterr().err
+
     def test_zero_reps_is_usage_error(self, tmp_path, capsys):
         code = run_cli("cluster", "--gen", "sbm:n=100", "--d", "2", "--K", "2",
                        "--reps", "0", "--out", str(tmp_path / "o"))
@@ -318,7 +344,7 @@ class TestComplete:
         assert lines[0] == "i,j,alpha,estimate,v_hat,lo,hi"
         assert len(lines) == 4
         rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
-        # rows come out in flag order, although equal alphas share one batch
+        # one batch serves every level; rows come out in flag order
         assert [row[:3] for row in rows] == [(3, 7, 0.05), (10, 40, 0.1), (5, 9, 0.05)]
         i, j, alpha, est, v_hat, lo, hi = rows[0]
         assert lo < est < hi

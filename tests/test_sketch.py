@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rsvdlab.applications import _reconstruct, rsvd_complete
+from rsvdlab.applications import complete, rsvd_complete
 from rsvdlab.linalg import (NotSymmetricError, RankDeficiencyError, orthonormality_defect,
                             signed_qr, svd_thin, sym_eig)
 from rsvdlab.models import gen_sbm, symmetric_gaussian
@@ -224,20 +224,24 @@ def test_singular_value_error_under_small_noise():
 
 def test_low_rank_modes():
     # the sketch returns the basis only; the completion's low-rank modes are
-    # the one shared reconstruction applied to that basis
+    # the one shared completion applied to that basis
     a = gaussian_matrix(25, 25, RngStream(36, 2))
     m_hat = (a + a.T) / 2.0
     cfg = SketchConfig(k=3, k_tilde=5, a_n=2, g=2, stream=RngStream(36, 3))
     one = rsvd_complete(m_hat, 1.0, cfg, mode="one_sided")
     sym = rsvd_complete(m_hat, 1.0, cfg, mode="symmetrized")
     for res in (one, sym):
-        assert np.array_equal(res.t_hat_g, _reconstruct(res.u_hat_g, m_hat, res.mode))
+        again = complete(res.u_hat_g, m_hat, 1.0, res.mode)
+        assert np.array_equal(res.t_hat_g, again.t_hat_g)
+        assert np.array_equal(res.m_hat, m_hat)
     assert np.array_equal(one.u_hat_g, rs_rsvd_sym(m_hat, cfg).u_hat_g)
     proj = one.u_hat_g @ (one.u_hat_g.T @ m_hat)
     assert np.allclose(one.t_hat_g, proj, atol=1e-12)
     assert np.allclose(sym.t_hat_g, (proj + proj.T) / 2.0, atol=1e-12)
     with pytest.raises(ValueError, match="bogus"):
         rsvd_complete(m_hat, 1.0, cfg, mode="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        complete(one.u_hat_g, m_hat, 1.0, "bogus")
 
 
 def test_rank_exceeds_sketch_rank():
