@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import cluster_rows
+from .clustering import check_clustering, cluster_rows
 from .linalg import as_matrix, sym_eig
 from .sketch import SketchConfig, rs_rsvd_sym
 from .stats import check_level, check_probability, normal_quantile_two_sided
@@ -54,12 +54,14 @@ def rsvd_spectral_cluster(a, n_clusters, cfg: SketchConfig,
     dimension cfg.k as target rank, then groups the embedding rows with
     K-means or K-medians seeded from a stream derived from cfg.stream.
     When ``truth`` labels are supplied the result carries the
-    permutation-invariant recovery flag and error rate (the truth's length
-    and labels and the count are checked before the sketch).
+    permutation-invariant recovery flag and error rate.  The count, the
+    clusterer and the truth's length and labels are checked before the
+    sketch.
     """
     a = as_matrix(a, "adjacency")
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError("adjacency must be binary")
+    check_clustering(a.shape[0], n_clusters, clusterer)
     if truth is not None:
         truth = np.asarray(truth)
         if truth.shape != (a.shape[0],):
@@ -155,6 +157,7 @@ def rsvd_complete(t_hat, p, cfg: SketchConfig, mode="one_sided") -> CompletionRe
     it from the sketch's basis (see ``complete``).  ``p`` may be the string
     "auto" to estimate the sampling rate from the data.
     """
+    check_mode(mode)
     m_hat, p_used = _rescale(t_hat, p)
     return complete(rs_rsvd_sym(m_hat, cfg).u_hat_g, m_hat, p_used, mode)
 
@@ -162,6 +165,7 @@ def rsvd_complete(t_hat, p, cfg: SketchConfig, mode="one_sided") -> CompletionRe
 def exact_complete(t_hat, p, k, mode="one_sided") -> CompletionResult:
     """Completion baseline using the exact k leading (by magnitude)
     eigenvectors of the rescaled observation instead of the sketch."""
+    check_mode(mode)
     m_hat, p_used = _rescale(t_hat, p)
     return complete(sym_eig(m_hat, k).vectors, m_hat, p_used, mode)
 

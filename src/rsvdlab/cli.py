@@ -109,6 +109,12 @@ def _common_meta(args, seed, stream, cfg, extra):
             "g": cfg.g, "ktilde": cfg.k_tilde, "an": cfg.a_n, **extra}
 
 
+def _add_input_flags(parser, what, example):
+    parser.add_argument("input", nargs="?", default=None,
+                        help=f"{what} Matrix Market path")
+    parser.add_argument("--gen", default=None, help=f"generator, e.g. {example}")
+
+
 def _add_sketch_flags(parser, default_g=2):
     parser.add_argument("--ktilde", type=int, default=None,
                         help="sketch width (default: k + 5)")
@@ -172,23 +178,25 @@ def _gen_pca(v, stream):
     return inst.x_obs, None, v["p"], {}
 
 
-# each --gen generator's parameters (see harness.resolve_params)
-_GEN_PARAMS = {
-    "sbm": {"n": (INTEGER, 1000), "K": (INTEGER, 2), "rho": (NUMBER, 1.0),
-            "rho_exp": (NUMBER, 0.0), "b_out": (NUMBER, 0.3),
-            "b_in": (NUMBER, 0.8), "d": (INTEGER, lambda v: v["K"])},
-    "completion": {"p": (NUMBER, 0.5, check_probability), "n": (INTEGER, 500),
-                   "k": (INTEGER, 3), "scale": (NUMBER, 1.0),
-                   "sigma": (NUMBER, 1.0), "homogeneous": (INTEGER, 1)},
-    "edm": {"n": (INTEGER, 300), **EDM},
-    "pca": {"p": (NUMBER, 1.0, check_probability), "d": (INTEGER, 200),
-            "m": (INTEGER, 500), "k": (INTEGER, 4), "sigma": (NUMBER, 0.0)},
+# each --gen generator: its parameters (see harness.resolve_params) and
+# the function that draws from them
+_GENERATORS = {
+    "sbm": ({"n": (INTEGER, 1000), "K": (INTEGER, 2), "rho": (NUMBER, 1.0),
+             "rho_exp": (NUMBER, 0.0), "b_out": (NUMBER, 0.3),
+             "b_in": (NUMBER, 0.8), "d": (INTEGER, lambda v: v["K"])}, _gen_sbm),
+    "completion": ({"p": (NUMBER, 0.5, check_probability), "n": (INTEGER, 500),
+                    "k": (INTEGER, 3), "scale": (NUMBER, 1.0),
+                    "sigma": (NUMBER, 1.0), "homogeneous": (INTEGER, 1)},
+                   _gen_completion),
+    "edm": ({"n": (INTEGER, 300), **EDM}, _gen_edm),
+    "pca": ({"p": (NUMBER, 1.0, check_probability), "d": (INTEGER, 200),
+             "m": (INTEGER, 500), "k": (INTEGER, 4), "sigma": (NUMBER, 0.0)}, _gen_pca),
 }
 
 
 def _load_input(args, stream, kinds):
     """(matrix, truth, p, source meta) from the input file, or from the
-    --gen generator named in ``kinds`` ({kind: function}), which draws from
+    --gen generator of _GENERATORS named in ``kinds``, which draws from
     ``stream``; truth and p are None where the source gives none."""
     named = " or ".join(f"{kind}:..." for kind in kinds)
     if args.gen is not None and args.input is not None:
@@ -200,8 +208,8 @@ def _load_input(args, stream, kinds):
     kind, params = _parse_gen(args.gen)
     if kind not in kinds:
         raise UsageError(f"{args.command} supports --gen {named}, got {kind!r}")
-    values = resolve_params(_GEN_PARAMS[kind], params, f"--gen {kind}")
-    matrix, truth, p, extra = kinds[kind](values, stream)
+    table, draw = _GENERATORS[kind]
+    matrix, truth, p, extra = draw(resolve_params(table, params, f"--gen {kind}"), stream)
     return matrix, truth, p, {"generator": args.gen, **extra}
 
 
@@ -225,8 +233,7 @@ def cmd_cluster(args):
     recovery_rows = []
     for rep in range(reps):
         stream = base.child("cluster", rep)
-        a, truth, _, meta_src = _load_input(args, stream.child("model"),
-                                            {"sbm": _gen_sbm})
+        a, truth, _, meta_src = _load_input(args, stream.child("model"), ("sbm",))
         if args.truth:
             truth = np.loadtxt(args.truth, dtype=np.int64, ndmin=1)
         cfg = _sketch_config(args, a.shape[0], args.d, stream.child("sketch"))
@@ -251,8 +258,8 @@ def cmd_cluster(args):
 def cmd_complete(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("complete")
-    t_hat, truth, gen_p, src_meta = _load_input(
-        args, base.child("model"), {"completion": _gen_completion, "edm": _gen_edm})
+    t_hat, truth, gen_p, src_meta = _load_input(args, base.child("model"),
+                                                ("completion", "edm"))
     p = _sampling_rate(args, gen_p, "--p is required unless a generator supplies it")
     try:
         p = p if p == "auto" else float(p)
@@ -291,7 +298,7 @@ def cmd_complete(args):
 def cmd_pca(args):
     seed = _resolve_seed(args.seed)
     base = RngStream(seed, 0).child("pca")
-    x_obs, _, gen_p, src_meta = _load_input(args, base.child("model"), {"pca": _gen_pca})
+    x_obs, _, gen_p, src_meta = _load_input(args, base.child("model"), ("pca",))
     p = _sampling_rate(args, gen_p, "--p is required with an input file")
     cfg = _sketch_config(args, x_obs.shape[0], args.k, base.child("sketch"))
     u = rsvd_missing_pca(x_obs, p, cfg)
@@ -300,15 +307,11 @@ def cmd_pca(args):
 
 
 def _locate_plan(plan_arg):
-    path = Path(plan_arg)
-    if path.exists():
-        return path
-    bundled = resources.files("rsvdlab").joinpath("plans", plan_arg)
-    if bundled.is_file():
-        return bundled
-    bundled_json = resources.files("rsvdlab").joinpath("plans", plan_arg + ".json")
-    if bundled_json.is_file():
-        return bundled_json
+    """The plan file, else the bundled plan of that name, with or without .json."""
+    bundled = resources.files("rsvdlab").joinpath("plans")
+    for path in (Path(plan_arg), bundled / plan_arg, bundled / (plan_arg + ".json")):
+        if path.is_file():
+            return path
     raise UsageError(f"plan {plan_arg!r} not found (no file and no bundled plan)")
 
 
@@ -351,10 +354,7 @@ def build_parser():
     p_svd.set_defaults(func=cmd_svd)
 
     p_cluster = sub.add_parser("cluster", help="spectral clustering of a graph")
-    p_cluster.add_argument("input", nargs="?", default=None,
-                           help="adjacency Matrix Market path")
-    p_cluster.add_argument("--gen", default=None,
-                           help="generator, e.g. sbm:n=1000,K=2,rho=1")
+    _add_input_flags(p_cluster, "adjacency", "sbm:n=1000,K=2,rho=1")
     p_cluster.add_argument("--d", type=int, required=True,
                            help="embedding dimension")
     p_cluster.add_argument("--K", type=int, required=True,
@@ -369,11 +369,8 @@ def build_parser():
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_complete = sub.add_parser("complete", help="low-rank matrix completion")
-    p_complete.add_argument("input", nargs="?", default=None,
-                            help="observed Matrix Market path")
-    p_complete.add_argument("--gen", default=None,
-                            help="generator, e.g. completion:n=500,k=3,p=0.5 "
-                                 "or edm:n=300,p=0.8")
+    _add_input_flags(p_complete, "observed",
+                     "completion:n=500,k=3,p=0.5 or edm:n=300,p=0.8")
     p_complete.add_argument("--p", default=None,
                             help="sampling probability or 'auto'")
     p_complete.add_argument("--k", type=int, required=True, help="target rank")
@@ -388,10 +385,7 @@ def build_parser():
     p_complete.set_defaults(func=cmd_complete)
 
     p_pca = sub.add_parser("pca", help="PCA from partially observed data")
-    p_pca.add_argument("input", nargs="?", default=None,
-                       help="observed Matrix Market path")
-    p_pca.add_argument("--gen", default=None,
-                       help="generator, e.g. pca:d=200,m=500,k=4,p=0.3")
+    _add_input_flags(p_pca, "observed", "pca:d=200,m=500,k=4,p=0.3")
     p_pca.add_argument("--p", type=float, default=None,
                        help="sampling probability")
     p_pca.add_argument("--k", type=int, required=True, help="target rank")

@@ -176,7 +176,6 @@ class ReplicateRecord:
 
 class RateFit(NamedTuple):
     beta_hat: float
-    stderr: float
     dropped: int
 
 
@@ -417,22 +416,20 @@ def emit_csv(records, path):
     write_csv(path, ("kind", "n", "g", "replicate", "metric", "value"), rows)
 
 
-def rate_regression(records, metric, log_adjust=None) -> RateFit:
+def rate_regression(records, metric) -> RateFit:
     """OLS slope of -log(metric) on log(n) over the given records.
 
-    ``log_adjust`` divides the metric by sqrt(log n) first (defaults to on
-    for the max-row-norm distance, where the optimal rate carries that
-    factor).  Nonpositive values are dropped and counted.
+    The max-row-norm distance "d2inf" is divided by sqrt(log n) first, as
+    its optimal rate carries that factor.  Nonpositive values are dropped
+    and counted.
     """
-    if log_adjust is None:
-        log_adjust = metric == "d2inf"
     xs, ys, dropped = [], [], 0
     for rec in records:
         value = rec.metrics.get(metric)
         if value is None or not np.isfinite(value) or value <= 0.0:
             dropped += 1
             continue
-        if log_adjust:
+        if metric == "d2inf":
             value = value / math.sqrt(math.log(rec.n))
         xs.append(math.log(rec.n))
         ys.append(-math.log(value))
@@ -442,13 +439,10 @@ def rate_regression(records, metric, log_adjust=None) -> RateFit:
     y = np.array(ys)
     xc = x - x.mean()
     slope = float(np.dot(xc, y) / np.dot(xc, xc))
-    resid = y - y.mean() - slope * xc
-    dof = max(len(xs) - 2, 1)
-    stderr = float(np.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
-    return RateFit(beta_hat=slope, stderr=stderr, dropped=dropped)
+    return RateFit(beta_hat=slope, dropped=dropped)
 
 
-def rate_slopes(records, metric, log_adjust=None) -> dict:
+def rate_slopes(records, metric) -> dict:
     """Per-(g, replicate) regression slopes, grouped by g."""
     groups = {}
     for rec in records:
@@ -456,7 +450,7 @@ def rate_slopes(records, metric, log_adjust=None) -> dict:
     slopes = {}
     for (g, _), recs in sorted(groups.items()):
         try:
-            fit = rate_regression(recs, metric, log_adjust=log_adjust)
+            fit = rate_regression(recs, metric)
         except ValueError:
             continue
         slopes.setdefault(g, []).append(fit.beta_hat)

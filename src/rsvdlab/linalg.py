@@ -148,10 +148,6 @@ def _cholesky_upper(gram):
     """Upper Cholesky factors of a stack of Gram matrices, and which blocks
     factored; a block that is not numerically positive definite gets the
     identity in place of its factor."""
-    try:
-        return np.linalg.cholesky(gram, upper=True), np.ones(len(gram), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
     r = np.empty_like(gram)
     ok = np.ones(len(gram), dtype=bool)
     for b, block in enumerate(gram):
@@ -162,6 +158,7 @@ def _cholesky_upper(gram):
     return r, ok
 
 
+@np.errstate(over="ignore", invalid="ignore")  # such blocks fail the checks below
 def cholesky_qr2(y):
     """Reduced QR of an (a, n, k) stack by CholeskyQR2, with Q written over
     ``y``; returns (y, R), every R diagonal nonnegative.
@@ -178,6 +175,7 @@ def cholesky_qr2(y):
       - R_2 differs from the identity by more than _CHOLQR_R2_TOL = 1e-2 in
         some entry.  The diagonal span only bounds kappa(Y) from below;
         R_2 near I certifies that the first pass's Q was near orthonormal.
+    A block whose Gram leaves the double range fails one of these checks.
     Every step acts on one block at a time, so a block's result does not
     depend on the other blocks of the stack.
     """

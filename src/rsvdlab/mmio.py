@@ -286,13 +286,10 @@ def read_matrix_market(path) -> np.ndarray:
         if symmetry == "general":
             out = vals.reshape((cols, rows)).T.copy()
         else:
+            # the lower triangle by columns is the upper triangle by rows
             out = np.empty((rows, cols), dtype=np.float64)
-            start = 0
-            for j in range(cols):
-                block = vals[start:start + rows - j]
-                out[j:, j] = block
-                out[j, j:] = block
-                start += rows - j
+            iu = np.triu_indices(rows)
+            out[iu] = out.T[iu] = vals
     else:
         try:
             out = np.zeros((rows, cols))

@@ -8,12 +8,14 @@ combined Gaussian draw, every step applies one matrix to all of them in a
 single multiply, so the data matrix is traversed only g (resp. 2g+1)
 times.  The product is then viewed as an (a_n, n, k_tilde) stack and
 re-orthonormalized in place by one batched CholeskyQR2, which hands any
-block too ill-conditioned for it to Householder QR, so the iterated powers
-never overflow: the sketch singular values are recovered from the
-per-block products of R factors, and one stacked singular-value call picks
-the winning block.  Both return the basis U, the singular values read off
-U^T M_hat, the chosen block and its sketched sigma_k; reconstructions
-built on U belong to the applications.
+block too ill-conditioned for it to Householder QR.  The per-block
+products of R factors, which grow like ||M_hat||^g, give the sketch
+singular values; they are rescaled by an exact power of two whenever they
+leave 2^+-400, so the basis does not depend on the scale of M_hat, and one
+stacked singular-value call picks the winning block.  Both return the
+basis U, the singular values read off U^T M_hat, the chosen block and its
+sketched sigma_k (0 or inf past the double range); reconstructions built
+on U belong to the applications.
 """
 
 from dataclasses import dataclass
@@ -28,12 +30,12 @@ from .linalg import (
     check_symmetric,
     cholesky_qr2,
     orthonormality_defect,
-    svd_thin,
     _fix_column_signs,
 )
 from .rng import RngStream, gaussian_matrix
 
-_COLLAPSE_RCOND = 1e-13
+_COLLAPSE_RCOND = 1e-13   # largest R diagonal / max |R| of a block taken as collapsed
+_RESCALE_EXPONENT = 400   # R products past 2^+-400 are rescaled by a power of two
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,15 @@ def combined_sketch(n: int, cfg: SketchConfig) -> np.ndarray:
     return gaussian_matrix(n, cfg.a_n * cfg.k_tilde, cfg.stream)
 
 
-def _extract_output(m_hat, q, rprods, k):
+@np.errstate(over="ignore")  # sigma_k past the double range reads inf
+def _extract_output(m_hat, q, rprods, shift, k):
     """Output of the block maximizing the k-th sketched singular value;
-    ties go to the lowest block index."""
+    ties go to the lowest block index.  The R products are 2^shift times
+    ``rprods``."""
     sig_k = np.linalg.svd(rprods, compute_uv=False)[:, k - 1]
     chosen = int(np.argmax(sig_k))
     rprod = rprods[chosen]
-    p, s_all, _ = svd_thin(rprod)
+    p, s_all, _ = np.linalg.svd(rprod, full_matrices=False)
     if s_all[0] <= 0.0 or s_all[k - 1] <= s_all[0] * max(rprod.shape) * np.finfo(np.float64).eps:
         raise RankDeficiencyError(
             f"target rank k={k} exceeds the numerical rank of the sketch"
@@ -128,11 +132,11 @@ def _extract_output(m_hat, q, rprods, k):
     u = _fix_column_signs(q[chosen] @ p[:, :k])
     if orthonormality_defect(u) > ORTHONORMAL_TOL:
         raise RankDeficiencyError("extracted singular vectors lost orthonormality")
-    sigma_tilde = np.linalg.svd(as_matrix(u.T @ m_hat, "input"), compute_uv=False)
+    sigma_tilde = np.linalg.svd(u.T @ m_hat, compute_uv=False)
     return RsvdOutput(
         u_hat_g=u,
         sigma_tilde=sigma_tilde,
-        sigma_k_sketch=float(sig_k[chosen]),
+        sigma_k_sketch=float(np.ldexp(sig_k[chosen], shift)),
         chosen_sketch=chosen,
     )
 
@@ -148,21 +152,23 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde):
     is re-orthonormalized by cholesky_qr2, which writes Q over the product
     and decides per block whether Householder QR factors it instead, so the
     per-block states match running the blocks in isolation.  The per-block
-    R products form an (a_n, k_tilde, k_tilde) stack.  Exactly low-rank
+    R products form an (a_n, k_tilde, k_tilde) stack, kept as 2^shift times
+    a stack whose largest entry lies within 2^+-400.  Exactly low-rank
     inputs take the Householder path and leave trailing R diagonals at
     roundoff level, which is harmless since Q R = Y still holds; only a
-    block whose whole iterate vanishes is an error.
+    block whose R diagonal vanishes against its largest entry is an error.
     ``ops[0]`` is M_hat itself, which the extracted singular values are
     read from.
     """
     a_n = g_star.shape[1] // k_tilde
     current = g_star
     outputs = {}
+    shift = 0
     for step, op in enumerate(ops, start=1):
         current = op @ current
         stack = current.reshape(current.shape[0], a_n, k_tilde).transpose(1, 0, 2)
         q, r = cholesky_qr2(stack)  # Q overwrites the product in place
-        scale = np.sqrt(np.einsum("aij,aij->a", r, r))  # ||R||_F = ||Y||_F per block
+        scale = np.max(np.abs(r), axis=(1, 2))
         peak = np.max(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
         if np.any((scale == 0.0) | (peak <= _COLLAPSE_RCOND * scale)):
             raise RankDeficiencyError(
@@ -170,8 +176,12 @@ def _power_chain(g_star, ops, snapshots, k, k_tilde):
                 iteration=step,
             )
         rprods = r if step == 1 else r @ rprods
+        exponent = int(np.frexp(np.max(np.abs(rprods)))[1])
+        if abs(exponent) > _RESCALE_EXPONENT:
+            rprods = np.ldexp(rprods, -exponent)
+            shift += exponent
         if step in snapshots:
-            outputs[snapshots[step]] = _extract_output(ops[0], q, rprods, k)
+            outputs[snapshots[step]] = _extract_output(ops[0], q, rprods, shift, k)
     return outputs
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, svd_thin
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ def _check_pair(u1, u2):
 def procrustes_align(u1, u2) -> AlignmentResult:
     """Orthogonal w minimizing ||u1 - u2 w||_F, with alignment residuals."""
     u1, u2 = _check_pair(u1, u2)
-    p, _, v = svd_thin(u2.T @ u1)
-    w = p @ v.T
+    p, _, vt = np.linalg.svd(u2.T @ u1)
+    w = p @ vt
     diff = u1 - u2 @ w
     return AlignmentResult(
         w=w,

@@ -69,6 +69,22 @@ class TestClustering:
         assert calls == []
 
 
+    @pytest.mark.parametrize("n_clusters, clusterer, message", [
+        (0, "kmeans", "n_clusters"), (61, "kmeans", "n_clusters"),
+        (2, "kmeanz", "method must be")])
+    def test_bad_clustering_arguments_fail_before_the_sketch(
+            self, monkeypatch, n_clusters, clusterer, message):
+        inst = gen_sbm(60, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1.0, 2,
+                       RngStream(70, 9))
+
+        def spy(*args):
+            raise AssertionError("the sketch ran")
+        monkeypatch.setattr("rsvdlab.applications.rs_rsvd_sym", spy)
+        with pytest.raises(ValueError, match=message):
+            rsvd_spectral_cluster(inst.a, n_clusters, cfg_for(RngStream(70, 10)),
+                                  clusterer=clusterer)
+
+
 class TestMatchLabels:
     def test_identity(self):
         tau = np.array([0, 1, 0, 1, 1])
@@ -147,6 +163,18 @@ class TestCompletion:
         assert res.p_used == pytest.approx(observed)
         with pytest.raises(ValueError, match="estimated sampling rate is zero"):
             exact_complete(np.zeros((5, 5)), "auto", 2)
+
+
+    def test_bad_mode_fails_before_the_sketch(self, monkeypatch):
+        def spy(*args):
+            raise AssertionError("the basis was computed")
+        monkeypatch.setattr("rsvdlab.applications.rs_rsvd_sym", spy)
+        monkeypatch.setattr("rsvdlab.applications.sym_eig", spy)
+        t_hat = np.eye(20)
+        with pytest.raises(ValueError, match="mode must be"):
+            rsvd_complete(t_hat, 0.5, cfg_for(RngStream(71, 8)), mode="two_sided")
+        with pytest.raises(ValueError, match="mode must be"):
+            exact_complete(t_hat, 0.5, 2, mode="two_sided")
 
 
 class TestEntryCI:

@@ -8,7 +8,8 @@ matrices.  In ``cli.py`` only ``main`` writes files, after the command has
 returned, so a failed command cannot leave partial output.  Model and
 generator parameters are read only through their declared tables, so a
 default is stated once and every bundled plan passes the strict loader; each
-plan kind is keyed in one dict of ``harness.py``, its registry entry.  No
+plan kind is keyed in one dict of ``harness.py``, its registry entry, and
+each ``--gen`` generator in one dict of ``cli.py``.  No
 ``except`` clause catches every exception, so a fault cannot turn into a
 result.
 """
@@ -148,6 +149,24 @@ def test_each_plan_kind_is_keyed_in_one_dict():
                     keyed.setdefault(key.value, []).append(node.lineno)
     repeated = {kind: lines for kind, lines in keyed.items() if len(lines) > 1}
     assert not repeated, f"plan kinds keyed in more than one dict: {repeated}"
+
+
+# the generator names ``--gen`` accepts
+GENERATORS = ("sbm", "completion", "edm", "pca")
+
+
+def test_each_generator_is_keyed_in_one_dict():
+    # a generator's parameter table and draw are one registry entry, so the
+    # commands name generators and no second dict can disagree with it
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    keyed = {name: [] for name in GENERATORS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            for key in node.keys:
+                if isinstance(key, ast.Constant) and key.value in keyed:
+                    keyed[key.value].append(node.lineno)
+    wrong = {name: lines for name, lines in keyed.items() if len(lines) != 1}
+    assert not wrong, f"generators not keyed in exactly one dict: {wrong}"
 
 
 def test_every_bundled_plan_passes_the_strict_loader():

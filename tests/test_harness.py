@@ -234,14 +234,12 @@ class TestRateRegression:
 
     def test_exact_power_law(self):
         fit = rate_regression(
-            self.synthetic_records(lambda n, r: n ** -0.5), "d2",
-            log_adjust=False)
+            self.synthetic_records(lambda n, r: n ** -0.5), "d2")
         assert fit.beta_hat == pytest.approx(0.5, abs=1e-10)
         assert fit.dropped == 0
 
     def test_constant_metric(self):
-        fit = rate_regression(
-            self.synthetic_records(lambda n, r: 0.37), "d2", log_adjust=False)
+        fit = rate_regression(self.synthetic_records(lambda n, r: 0.37), "d2")
         assert fit.beta_hat == pytest.approx(0.0, abs=1e-12)
 
     def test_noisy_exponent_recovered(self):
@@ -251,14 +249,14 @@ class TestRateRegression:
             self.synthetic_records(
                 lambda n, r: 2.1 * n ** -e * (1.0 + 0.05 * (2 * gen.random() - 1)),
                 reps=10),
-            "d2", log_adjust=False)
+            "d2")
         assert abs(fit.beta_hat - e) <= 0.05
 
     def test_nonpositive_dropped_with_count(self):
         records = self.synthetic_records(lambda n, r: n ** -0.5)
         records.append(ReplicateRecord("rate_regression", 1600, 1, 0,
                                        {"d2": 0.0}))
-        fit = rate_regression(records, "d2", log_adjust=False)
+        fit = rate_regression(records, "d2")
         assert fit.dropped == 1
 
     def test_requires_three_sizes(self):

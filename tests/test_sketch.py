@@ -208,6 +208,19 @@ def test_projector_idempotence():
     assert np.max(np.abs(p @ p - p)) <= 1e-9
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-60, 1e60, 1e200])
+def test_basis_does_not_depend_on_the_scale(c):
+    # the R products grow like ||M||^g and are rescaled by powers of two, so
+    # at g = 8 a scale of 1e+-60 neither underflows nor overflows them
+    m, _, _ = rank_k_symmetric(200, 3, 11, lam=np.array([30.0, 20.0, 15.0]))
+    m = m + symmetric_gaussian(200, 0.1, RngStream(37, 0).generator())
+    cfg = SketchConfig(k=3, k_tilde=8, a_n=2, g=8, stream=RngStream(37, 1))
+    base = rs_rsvd_sym(m, cfg)
+    out = rs_rsvd_sym(c * m, cfg)
+    assert procrustes_align(out.u_hat_g, base.u_hat_g).residual_spectral <= 1e-10
+    assert out.sigma_tilde == pytest.approx(c * base.sigma_tilde, rel=1e-10)
+
+
 def test_singular_value_error_under_small_noise():
     # loose bound: with relative noise 1e-3 and g >= 2 the sketched singular
     # values track the signal's to within 10 * ||E||

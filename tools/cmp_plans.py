@@ -74,6 +74,9 @@ COMMANDS = [
                                "--truth", "missing.txt"]),
     ("cluster-short-truth", ["cluster", "adjacency.mm", "--d", "2", "--K", "2",
                              "--truth", "short.txt"]),
+    # the symmetric array layout, and a cluster count checked before the sketch
+    ("svd-sym-array", ["svd", "symmetric.mm", "--sym", "--k", "3", "--g", "3"]),
+    ("cluster-zero-K", ["cluster", "adjacency.mm", "--d", "2", "--K", "0"]),
 ]
 
 
@@ -130,11 +133,19 @@ def _write_mm(path, n, entry):
                     f"{n} {n} {len(lines)}\n{body}")
 
 
+def _write_array_sym(path, n, entry):
+    """An n x n ``array real symmetric`` file: the lower triangle
+    (i >= j) that ``entry(i, j)`` gives, column by column."""
+    body = "".join(f"{entry(i, j)!r}\n" for j in range(n) for i in range(j, n))
+    path.write_text(f"%%MatrixMarket matrix array real symmetric\n{n} {n}\n{body}")
+
+
 def write_inputs(directory):
     """The commands' input files, the same on every call: ``observed.mm``, a
     rank-3 signal plus noise observed at rate 0.6 (n = 200); ``adjacency.mm``,
     a two-block graph (n = 300) with its labels in ``truth.txt`` and the
-    first 250 of them in ``short.txt``."""
+    first 250 of them in ``short.txt``; ``symmetric.mm``, a rank-3 signal
+    plus noise in the symmetric array layout (n = 150)."""
     rng = random.Random(20240501)
     n = 200
     factors = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(n)]
@@ -148,6 +159,10 @@ def write_inputs(directory):
         else 0.0))
     (directory / "truth.txt").write_text("".join(f"{lab}\n" for lab in labels))
     (directory / "short.txt").write_text("".join(f"{lab}\n" for lab in labels[:250]))
+    n = 150
+    factors = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(n)]
+    _write_array_sym(directory / "symmetric.mm", n, lambda i, j: (
+        sum(a * b for a, b in zip(factors[i], factors[j])) + rng.gauss(0.0, 0.5)))
 
 
 def _tree(root):
