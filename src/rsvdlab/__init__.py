@@ -43,7 +43,7 @@ from .applications import (
     rsvd_missing_pca,
     rsvd_spectral_cluster,
 )
-from .theory import RateModel, RateVerdict, rate_exponent
+from .theory import RateVerdict, rate_exponent
 from .harness import (
     ExperimentPlan,
     ReplicateRecord,

@@ -5,8 +5,10 @@ Every command returns its outputs, a mapping from fixed filename to
 payload, and a meta.json dict carrying the fully resolved configuration
 (derived seeds, the k_tilde and a_n the sketch used), so reruns with the
 same flags are byte-identical.  ``main`` creates --out and writes them only
-once the command has succeeded, so a failed run leaves --out as it was.
-Exit codes: 0 success, 1 numerical failure, 2 usage or parse error.
+once the command has succeeded, so a failed run leaves --out as it was,
+and meta.json is strict JSON (a sigma_k past the double range reads null
+beside its log2).  Exit codes: 0 success, 1 numerical failure, 2 usage or
+parse error.
 """
 
 import argparse
@@ -47,7 +49,7 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream
-from .sketch import resolve_a_n, resolve_sketch, rs_rsvd_asym, rs_rsvd_sym
+from .sketch import SketchConfig, resolve_a_n, rs_rsvd_asym, rs_rsvd_sym
 from .stats import check_probability
 
 DEFAULT_SEED = 20240501
@@ -57,10 +59,6 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _resolve_seed(default):
     """The master seed: RSVDLAB_SEED when set, else ``default``."""
     env = os.environ.get("RSVDLAB_SEED")
@@ -68,7 +66,7 @@ def _resolve_seed(default):
         try:
             return int(env)
         except ValueError as exc:
-            raise UsageError(f"RSVDLAB_SEED must be an integer, got {env!r}") from exc
+            raise ValueError(f"RSVDLAB_SEED must be an integer, got {env!r}") from exc
     return default
 
 
@@ -80,7 +78,7 @@ def _parse_gen(spec_str):
         for item in rest.split(","):
             key, _, val = item.partition("=")
             if not key or not val:
-                raise UsageError(f"malformed generator parameter {item!r}")
+                raise ValueError(f"malformed generator parameter {item!r}")
             try:
                 params[key] = int(val)
             except ValueError:
@@ -95,11 +93,11 @@ def _sketch_config(args, n, k, stream):
     """The CLI's sketch: k_tilde k + 5 and a_n ceil(log n) unless set."""
     rule = "ceil_log" if args.an == "log" else args.an
     try:
-        resolve_a_n(rule, n)
+        a_n = resolve_a_n(rule, n)
     except ValueError as exc:
-        raise UsageError(f"--an: {exc}") from exc
+        raise ValueError(f"--an: {exc}") from exc
     k_tilde = args.ktilde if args.ktilde is not None else k + 5
-    return resolve_sketch(k, k_tilde, rule, n, args.g, stream)
+    return SketchConfig(k=k, k_tilde=k_tilde, a_n=a_n, g=args.g, stream=stream)
 
 
 def _common_meta(args, seed, stream, cfg, extra):
@@ -145,10 +143,12 @@ def cmd_svd(args):
         out = rs_rsvd_asym(a, cfg)
     files = {"U.mm": out.u_hat_g,
              "sigma.csv": (("sigma",), [(float(s),) for s in out.sigma_tilde])}
+    sigma_k = float(out.sigma_k_sketch)   # 0 or inf past the double range
+    shown = ({"sigma_k_sketch": sigma_k} if 0.0 < sigma_k < np.inf else
+             {"sigma_k_sketch": None, "sigma_k_sketch_log2": out.sigma_k_sketch_log2})
     return files, _common_meta(args, seed, stream, cfg, {
         "input": str(args.input), "k": args.k, "symmetric": symmetric,
-        "chosen_sketch": int(out.chosen_sketch),
-        "sigma_k_sketch": float(out.sigma_k_sketch)})
+        "chosen_sketch": int(out.chosen_sketch), **shown})
 
 
 def _gen_sbm(v, stream):
@@ -200,23 +200,23 @@ def _load_input(args, stream, kinds):
     ``stream``; truth and p are None where the source gives none."""
     named = " or ".join(f"{kind}:..." for kind in kinds)
     if args.gen is not None and args.input is not None:
-        raise UsageError("give an input file or --gen, not both")
+        raise ValueError("give an input file or --gen, not both")
     if args.gen is None:
         if args.input is None:
-            raise UsageError(f"provide an input file or --gen {named}")
+            raise ValueError(f"provide an input file or --gen {named}")
         return read_matrix_market(args.input), None, None, {"input": str(args.input)}
     kind, params = _parse_gen(args.gen)
     if kind not in kinds:
-        raise UsageError(f"{args.command} supports --gen {named}, got {kind!r}")
+        raise ValueError(f"{args.command} supports --gen {named}, got {kind!r}")
     table, draw = _GENERATORS[kind]
     matrix, truth, p, extra = draw(resolve_params(table, params, f"--gen {kind}"), stream)
     return matrix, truth, p, {"generator": args.gen, **extra}
 
 
 def _sampling_rate(args, gen_p, missing):
-    """--p when given, else the generator's p; UsageError(missing) if neither."""
+    """--p when given, else the generator's p; ValueError(missing) if neither."""
     if args.p is None and gen_p is None:
-        raise UsageError(missing)
+        raise ValueError(missing)
     return gen_p if args.p is None else args.p
 
 
@@ -225,11 +225,11 @@ def cmd_cluster(args):
     base = RngStream(seed, 0)
     reps = args.reps
     if reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {reps}")
+        raise ValueError(f"--reps must be >= 1, got {reps}")
     if reps > 1 and args.gen is None:
-        raise UsageError("--reps > 1 requires --gen")
+        raise ValueError("--reps > 1 requires --gen")
     if args.truth is not None and args.gen is not None:
-        raise UsageError("give --truth or --gen, not both (--gen draws the truth)")
+        raise ValueError("give --truth or --gen, not both (--gen draws the truth)")
     recovery_rows = []
     for rep in range(reps):
         stream = base.child("cluster", rep)
@@ -264,7 +264,7 @@ def cmd_complete(args):
     try:
         p = p if p == "auto" else float(p)
     except ValueError as exc:
-        raise UsageError(f"--p must be a probability or 'auto', got {args.p!r}") from exc
+        raise ValueError(f"--p must be a probability or 'auto', got {args.p!r}") from exc
     n = t_hat.shape[0]
     cfg = _sketch_config(args, n, args.k, base.child("sketch"))
     # every spec is parsed and its entry and alpha checked before the
@@ -275,7 +275,7 @@ def cmd_complete(args):
             i, j, alpha = spec.split(",")
             i, j, alpha = int(i), int(j), float(alpha)
         except ValueError:
-            raise UsageError(f"--ci expects 'i,j,alpha', got {spec!r}") from None
+            raise ValueError(f"--ci expects 'i,j,alpha', got {spec!r}") from None
         check_entries([(i, j, alpha)], n, f"--ci {spec!r}")
         specs.append((i, j, alpha))
     if args.exact:
@@ -312,7 +312,7 @@ def _locate_plan(plan_arg):
     for path in (Path(plan_arg), bundled / plan_arg, bundled / (plan_arg + ".json")):
         if path.is_file():
             return path
-    raise UsageError(f"plan {plan_arg!r} not found (no file and no bundled plan)")
+    raise ValueError(f"plan {plan_arg!r} not found (no file and no bundled plan)")
 
 
 def cmd_experiment(args):
@@ -320,11 +320,11 @@ def cmd_experiment(args):
     try:
         plan = load_plan(json.loads(location.read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid plan JSON: {exc}") from exc
+        raise ValueError(f"invalid plan JSON: {exc}") from exc
     except KeyError as exc:
-        raise UsageError(f"plan is missing required field {exc.args[0]!r}") from exc
+        raise ValueError(f"plan is missing required field {exc.args[0]!r}") from exc
     except TypeError as exc:
-        raise UsageError(f"invalid plan field: {exc}") from exc
+        raise ValueError(f"invalid plan field: {exc}") from exc
     parallelism = plan.parallelism if args.parallel is None else args.parallel
     plan = replace(plan, parallelism=parallelism,
                    master_seed=_resolve_seed(plan.master_seed))
@@ -408,6 +408,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         files, meta = args.func(args)
+        meta_text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, payload in files.items():
@@ -417,12 +418,8 @@ def main(argv=None):
                 emit_csv(payload, out_dir / name)
             else:
                 write_csv(out_dir / name, *payload)
-        (out_dir / "meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        (out_dir / "meta.json").write_text(meta_text + "\n", encoding="utf-8")
         return EXIT_OK
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

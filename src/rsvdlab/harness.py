@@ -42,7 +42,7 @@ from .models import (
     symmetric_bernoulli,
 )
 from .rng import RngStream, stable_hash64
-from .sketch import resolve_sketch, rs_rsvd_sym_chain
+from .sketch import SketchConfig, resolve_a_n, rs_rsvd_sym_chain
 from .stats import check_level, check_probability, chi2_quantile
 from .subspace import procrustes_align
 from .theory import clt_gamma_sbm_all
@@ -152,17 +152,13 @@ class ExperimentPlan:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
         where = f"{self.kind} model_params"
-        values = resolve_params(_KINDS[self.kind][0], self.model_params, where)
+        object.__setattr__(self, "resolved_params",
+                           resolve_params(_KINDS[self.kind][0], self.model_params, where))
         for n in self.n_grid:
             try:
-                # the sketch's own rules, and its sizes on the n x n matrix
-                # that every kind sketches
-                resolve_sketch(_model_rank(self.kind, values, n), values["k_tilde"],
-                               values["a_n"], n, max(self.g_list),
-                               stream=None).validate_for((n, n))
+                _sketch_config(self, n, stream=None)
             except ValueError as exc:
                 raise ValueError(f"{where} at n = {n}: {exc}") from exc
-        object.__setattr__(self, "resolved_params", values)
 
 
 @dataclass
@@ -364,6 +360,15 @@ def _model_rank(kind, v, n):
     return v["d"]
 
 
+def _sketch_config(plan, n, stream):
+    """The plan's sketch at size n, checked with its model on the n x n matrix."""
+    v = plan.resolved_params
+    cfg = SketchConfig(k=_model_rank(plan.kind, v, n), k_tilde=v["k_tilde"],
+                       a_n=resolve_a_n(v["a_n"], n), g=max(plan.g_list), stream=stream)
+    cfg.validate_for((n, n))
+    return cfg
+
+
 def replicate_stream(plan: ExperimentPlan, n, replicate) -> RngStream:
     return RngStream(plan.master_seed,
                      stable_hash64(plan.kind, n, replicate))
@@ -386,8 +391,7 @@ def run_plan(plan: ExperimentPlan) -> list:
     def execute(task):
         n, r = task
         stream = replicate_stream(plan, n, r)
-        cfg = resolve_sketch(_model_rank(plan.kind, v, n), v["k_tilde"], v["a_n"],
-                             n, max(g_list), stream.child("sketch"))
+        cfg = _sketch_config(plan, n, stream.child("sketch"))
         try:
             m_hat, measure = instance(v, n, stream, cfg)
             outputs = rs_rsvd_sym_chain(m_hat, cfg, g_list)

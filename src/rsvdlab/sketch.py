@@ -14,8 +14,9 @@ singular values; they are rescaled by an exact power of two whenever they
 leave 2^+-400, so the basis does not depend on the scale of M_hat, and one
 stacked singular-value call picks the winning block.  Both return the
 basis U, the singular values read off U^T M_hat, the chosen block and its
-sketched sigma_k (0 or inf past the double range); reconstructions built
-on U belong to the applications.
+sketched sigma_k with its log2 (sigma_k reads 0 or inf past the double
+range); reconstructions built on U belong to the applications.  Callers
+build SketchConfig directly, with a_n from resolve_a_n.
 """
 
 from dataclasses import dataclass
@@ -96,18 +97,12 @@ def resolve_a_n(rule, n: int) -> int:
                      f"'ceil_log_sq', got {rule!r}")
 
 
-def resolve_sketch(k, k_tilde, a_n, n, g, stream) -> SketchConfig:
-    """The SketchConfig for an n-dimensional input, ``a_n`` given as a rule
-    for resolve_a_n; callers supply their own defaults."""
-    return SketchConfig(k=k, k_tilde=k_tilde, a_n=resolve_a_n(a_n, n), g=g,
-                        stream=stream)
-
-
 @dataclass
 class RsvdOutput:
     u_hat_g: np.ndarray         # n x k orthonormal
     sigma_tilde: np.ndarray     # k approximate singular values, descending
     sigma_k_sketch: float       # winning sigma_k of the sketched matrix
+    sigma_k_sketch_log2: float  # its log2, finite past the double range
     chosen_sketch: int          # index of the winning block in [0, a_n)
 
 
@@ -137,6 +132,7 @@ def _extract_output(m_hat, q, rprods, shift, k):
         u_hat_g=u,
         sigma_tilde=sigma_tilde,
         sigma_k_sketch=float(np.ldexp(sig_k[chosen], shift)),
+        sigma_k_sketch_log2=math.log2(sig_k[chosen]) + shift,
         chosen_sketch=chosen,
     )
 

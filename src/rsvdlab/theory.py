@@ -14,43 +14,34 @@ _BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RateModel:
-    beta: float          # graph density exponent, in (0, 1]
-    g: int               # power-iteration count
-    metric: str          # "d2" or "d2inf"
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        if self.g < 1:
-            raise ValueError("g must be >= 1")
-        if self.metric not in ("d2", "d2inf"):
-            raise ValueError("metric must be 'd2' or 'd2inf'")
-
-
-@dataclass(frozen=True)
 class RateVerdict:
     regime: str          # "optimal", "slow", or "none"
     exponent: float      # predicted polynomial exponent of n
 
 
-def rate_exponent(model: RateModel) -> RateVerdict:
-    """Convergence regime and polynomial rate for the subspace error.
+def rate_exponent(beta, g, metric) -> RateVerdict:
+    """Convergence regime and polynomial rate of the subspace error ("d2" or
+    "d2inf") at graph density exponent beta in (0, 1] and power count g >= 1.
 
     optimal when g >= 1 + 1/beta (boundary included), slow when
     1/beta < g < 1 + 1/beta, none when g <= 1/beta.  At g = 1/beta the
     slow and none exponents coincide, so the boundary label is "none".
     """
-    inv_beta = 1.0 / model.beta
-    g = float(model.g)
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    if metric not in ("d2", "d2inf"):
+        raise ValueError("metric must be 'd2' or 'd2inf'")
+    inv_beta = 1.0 / beta
+    g = float(g)
     if g >= 1.0 + inv_beta - _BOUNDARY_TOL:
         regime = "optimal"
     elif g > inv_beta + _BOUNDARY_TOL:
         regime = "slow"
     else:
         regime = "none"
-    beta = model.beta
-    if model.metric == "d2":
+    if metric == "d2":
         exponent = {
             "optimal": -beta / 2.0,
             "slow": -(g * beta - 1.0) / 2.0,

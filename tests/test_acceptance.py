@@ -22,6 +22,7 @@ from rsvdlab.models import gen_completion, symmetric_bernoulli, symmetric_gaussi
 from rsvdlab.rng import RngStream, standard_normal
 from rsvdlab.sketch import SketchConfig, rs_rsvd_sym_chain
 from rsvdlab.subspace import procrustes_align
+from rsvdlab.theory import rate_exponent
 
 from _oracles import power_diff_expansion, vstar_oracle
 
@@ -107,19 +108,37 @@ def test_c3_exact_recovery_table():
            f"runtime {elapsed:.0f}s (< 600s)")
 
 
-def test_c4_phase_transition_slopes():
+# C4's d2 slope bands per (plan, g), and each plan's density exponent beta
+C4_BANDS = {"rate_dense": {1: (-0.10, 0.15), 2: (0.40, 0.60), 3: (0.40, 0.60)},
+            "rate_sparse": {2: (0.08, 0.26), 3: (0.23, 0.43)}}
+BETA = {"rate_dense": 1.0, "rate_sparse": 2.0 / 3.0}
+
+
+@pytest.fixture(scope="module")
+def rate_runs():
+    """The records of rate_dense and rate_sparse, run once for C4 and C10,
+    and the seconds the two runs took."""
+    start = time.perf_counter()
+    records = {plan: run_plan(bundled_plan(f"{plan}.json")) for plan in C4_BANDS}
+    return records, time.perf_counter() - start
+
+
+def median_slopes(records, metric):
+    """Per plan and g, the median of the per-replicate slopes of ``metric``."""
+    return {plan: {g: float(np.median(v)) for g, v in rate_slopes(recs, metric).items()}
+            for plan, recs in records.items()}
+
+
+def test_c4_phase_transition_slopes(rate_runs):
     """Median regression slopes of the subspace error match the predicted
     polynomial rates in both density regimes."""
     start = time.perf_counter()
-    dense = rate_slopes(run_plan(bundled_plan("rate_dense.json")), "d2")
-    sparse = rate_slopes(run_plan(bundled_plan("rate_sparse.json")), "d2")
-    med_dense = {g: float(np.median(v)) for g, v in dense.items()}
-    med_sparse = {g: float(np.median(v)) for g, v in sparse.items()}
-    elapsed = time.perf_counter() - start
-    ok = (-0.10 <= med_dense[1] <= 0.15
-          and all(0.40 <= med_dense[g] <= 0.60 for g in (2, 3))
-          and 0.08 <= med_sparse[2] <= 0.26
-          and 0.23 <= med_sparse[3] <= 0.43
+    records, run_s = rate_runs
+    med = median_slopes(records, "d2")
+    med_dense, med_sparse = med["rate_dense"], med["rate_sparse"]
+    elapsed = run_s + time.perf_counter() - start
+    ok = (all(lo <= med[plan][g] <= hi
+              for plan, bands in C4_BANDS.items() for g, (lo, hi) in bands.items())
           and elapsed < 1200.0)
     report("C4", ok,
            f"dense medians g1={med_dense[1]:.3f} (in [-0.10,0.15]), "
@@ -127,6 +146,30 @@ def test_c4_phase_transition_slopes():
            f"sparse g2={med_sparse[2]:.3f} (in [0.08,0.26]), "
            f"g3={med_sparse[3]:.3f} (in [0.23,0.43]); "
            f"runtime {elapsed:.0f}s (< 1200s)")
+
+
+def test_c10_two_to_infinity_slopes(rate_runs):
+    """Median regression slopes of the l_2->inf error (d2inf over
+    sqrt(log n)) match rate_exponent's d2inf rates in both density regimes,
+    from C4's own runs.
+
+    Band rule, stated before the first committed run: at each (plan, g) the
+    band has the same offsets from the predicted slope
+    -rate_exponent(beta, g, "d2inf").exponent as C4's band has from
+    -rate_exponent(beta, g, "d2").exponent, with beta = 1 for rate_dense and
+    2/3 for rate_sparse.  That gives dense g1 [0.40,0.65] and g2, g3
+    [0.90,1.10]; sparse g2 [0.58,0.76] and g3 [0.73,0.93].
+    """
+    med = median_slopes(rate_runs[0], "d2inf")
+    ok, parts = True, []
+    for plan, bands in C4_BANDS.items():
+        for g, (lo, hi) in bands.items():
+            shift = (rate_exponent(BETA[plan], g, "d2").exponent
+                     - rate_exponent(BETA[plan], g, "d2inf").exponent)
+            lo, hi = lo + shift, hi + shift
+            ok &= lo <= med[plan][g] <= hi
+            parts.append(f"{plan} g{g}={med[plan][g]:.3f} (in [{lo:.2f},{hi:.2f}])")
+    report("C10", ok, "d2inf medians " + ", ".join(parts))
 
 
 def test_c5_clt_ellipse_coverage():

@@ -114,6 +114,37 @@ class TestSvd:
         assert run_cli("svd", str(tmp_path / "nope.mm"), "--k", "1",
                        "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("scale", [1e60, 1e-60])
+    def test_sigma_k_past_the_double_range_is_strict_json(self, tmp_path, scale):
+        # sigma_k of M^8 scales by 1e+-480, past the double range: meta.json
+        # holds null and log2 sigma_k, the unscaled run's log2 shifted by
+        # 8 log2(scale), and no Infinity that a strict parser rejects
+        def reject(constant):
+            raise ValueError(f"meta.json holds {constant}")
+
+        a = np.random.default_rng(6).standard_normal((200, 200))
+        metas = []
+        for factor in (1.0, scale):
+            write_matrix_market(tmp_path / "m.mm", factor * (a + a.T))
+            out = tmp_path / f"out{len(metas)}"
+            assert run_cli("svd", str(tmp_path / "m.mm"), "--k", "3", "--g", "8",
+                           "--out", str(out)) == 0
+            metas.append(json.loads((out / "meta.json").read_text(),
+                                    parse_constant=reject))
+        assert "sigma_k_sketch_log2" not in metas[0]
+        assert metas[1]["sigma_k_sketch"] is None
+        assert metas[1]["sigma_k_sketch_log2"] == pytest.approx(
+            np.log2(metas[0]["sigma_k_sketch"]) + 8 * np.log2(scale), abs=1e-6)
+
+    def test_non_finite_meta_fails_before_any_output(self, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr("rsvdlab.cli.cmd_svd", lambda args: (
+            {"U.mm": np.eye(2)}, {"sigma_k_sketch": float("inf")}))
+        out = tmp_path / "out"
+        assert run_cli("svd", "m.mm", "--k", "1", "--out", str(out)) == 2
+        assert "JSON" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     """0 for a good run, 2 for a malformed or out-of-range Matrix Market

@@ -9,7 +9,9 @@ returned, so a failed command cannot leave partial output.  Model and
 generator parameters are read only through their declared tables, so a
 default is stated once and every bundled plan passes the strict loader; each
 plan kind is keyed in one dict of ``harness.py``, its registry entry, and
-each ``--gen`` generator in one dict of ``cli.py``.  No
+each ``--gen`` generator in one dict of ``cli.py``.  Each of ``harness.py``
+and ``cli.py`` builds its sketch config at one call site, so a plan's load
+and its replicates, or two commands, cannot resolve it apart.  No
 ``except`` clause catches every exception, so a fault cannot turn into a
 result.
 """
@@ -26,7 +28,7 @@ SRC = Path(rsvdlab.__file__).parent
 ALLOWED = {
     "main",            # the console script's entry point
     # rate predictions and per-replicate slopes that the acceptance suite
-    # reads; ROADMAP item 2 gives them a caller in `rsvdlab experiment`
+    # reads; ROADMAP item 1 gives them a caller in `rsvdlab experiment`
     "rate_exponent",
     "rate_slopes",
 }
@@ -175,3 +177,19 @@ def test_every_bundled_plan_passes_the_strict_loader():
     for path in paths:
         plan = load_plan(path)
         assert set(plan.model_params) <= set(plan.resolved_params), path.name
+
+
+def test_each_sketch_config_is_built_at_one_call_site():
+    offenders = []
+    for name in ("harness.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for callee in ("SketchConfig", "resolve_a_n"):
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and ast.unparse(node.func) == callee]
+            if len(lines) != 1:
+                offenders.append(f"{name}: {callee}( at lines {lines}")
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "resolve_sketch":
+                offenders.append(f"{path.name}: defines resolve_sketch")
+    assert not offenders, f"sketch configs built at more than one site: {offenders}"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rsvdlab.linalg import signed_qr
 from rsvdlab.models import gen_sbm, symmetric_bernoulli, symmetric_gaussian
 from rsvdlab.rng import RngStream, gaussian_matrix, standard_normal
-from rsvdlab.theory import RateModel, clt_gamma_sbm_all, rate_exponent
+from rsvdlab.theory import clt_gamma_sbm_all, rate_exponent
 
 # the reference oracles of C2 and C7 are checked here next to the theory
 from _oracles import clt_gamma_row, eager_p_mat, power_diff_expansion, vstar_oracle
@@ -63,27 +63,27 @@ class TestRateExponent:
         (0.5, 4, "d2inf", "optimal", -0.75),
     ])
     def test_table(self, beta, g, metric, regime, exponent):
-        verdict = rate_exponent(RateModel(beta, g, metric))
+        verdict = rate_exponent(beta, g, metric)
         assert verdict.regime == regime
         assert verdict.exponent == pytest.approx(exponent, abs=1e-12)
 
     def test_boundaries(self):
         # g = 1 + 1/beta is inclusive for the optimal regime
-        assert rate_exponent(RateModel(0.5, 3, "d2")).regime == "optimal"
-        assert rate_exponent(RateModel(1.0 / 3.0, 4, "d2")).regime == "optimal"
+        assert rate_exponent(0.5, 3, "d2").regime == "optimal"
+        assert rate_exponent(1.0 / 3.0, 4, "d2").regime == "optimal"
         # g = 1/beta maps to "none" (slow and none exponents coincide there)
-        assert rate_exponent(RateModel(1.0 / 3.0, 3, "d2")).regime == "none"
-        assert rate_exponent(RateModel(0.25, 4, "d2inf")).regime == "none"
+        assert rate_exponent(1.0 / 3.0, 3, "d2").regime == "none"
+        assert rate_exponent(0.25, 4, "d2inf").regime == "none"
         # just above the lower boundary is "slow"
-        assert rate_exponent(RateModel(0.45, 3, "d2")).regime == "slow"
+        assert rate_exponent(0.45, 3, "d2").regime == "slow"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RateModel(0.0, 2, "d2")
+            rate_exponent(0.0, 2, "d2")
         with pytest.raises(ValueError):
-            RateModel(0.5, 0, "d2")
+            rate_exponent(0.5, 0, "d2")
         with pytest.raises(ValueError):
-            RateModel(0.5, 2, "frobenius")
+            rate_exponent(0.5, 2, "frobenius")
 
 
 class TestCltGamma:

@@ -18,7 +18,9 @@ examples, then completion and usage-error cases) with ``--out out/NAME``, in
 a directory of its own holding the same input files (``write_inputs``,
 drawn from a fixed seed), so relative paths read the same in both.  One line
 per command says whether every file under ``--out``, stdout, stderr and the
-exit code are identical.
+exit code are identical; a file that ``DECLARED`` names for a command is
+left out of that comparison, and the line says whether it differs and why
+it may.
 
 The outputs go to a temporary directory, removed at the end.  The exit code
 is 0 when everything matches, 1 otherwise.  Only the standard library is
@@ -77,7 +79,19 @@ COMMANDS = [
     # the symmetric array layout, and a cluster count checked before the sketch
     ("svd-sym-array", ["svd", "symmetric.mm", "--sym", "--k", "3", "--g", "3"]),
     ("cluster-zero-K", ["cluster", "adjacency.mm", "--d", "2", "--K", "0"]),
+    # usage errors of the sketch config and of a plan field
+    ("svd-bad-an", ["svd", "observed.mm", "--k", "5", "--an", "0"]),
+    ("svd-wide-ktilde", ["svd", "observed.mm", "--k", "5", "--ktilde", "201"]),
+    ("experiment-bad-field", ["experiment", "--plan", "bad_field.json"]),
+    # a sketched sigma_k past the double range
+    ("svd-huge-scale", ["svd", "huge.mm", "--k", "3", "--g", "8"]),
 ]
+
+# command name -> (output file that may differ between the sides, why)
+DECLARED = {
+    "svd-huge-scale": ("meta.json", "a sigma_k_sketch past the double range is "
+                       "written as null beside its log2, not as Infinity"),
+}
 
 
 def parse_args(argv):
@@ -145,7 +159,9 @@ def write_inputs(directory):
     rank-3 signal plus noise observed at rate 0.6 (n = 200); ``adjacency.mm``,
     a two-block graph (n = 300) with its labels in ``truth.txt`` and the
     first 250 of them in ``short.txt``; ``symmetric.mm``, a rank-3 signal
-    plus noise in the symmetric array layout (n = 150)."""
+    plus noise in the symmetric array layout (n = 150); ``huge.mm``, a
+    rank-3 signal plus noise scaled by 1e60 (n = 200); ``bad_field.json``, a
+    plan whose ``replicates`` is null."""
     rng = random.Random(20240501)
     n = 200
     factors = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(n)]
@@ -163,6 +179,13 @@ def write_inputs(directory):
     factors = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(n)]
     _write_array_sym(directory / "symmetric.mm", n, lambda i, j: (
         sum(a * b for a, b in zip(factors[i], factors[j])) + rng.gauss(0.0, 0.5)))
+    n = 200
+    factors = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(n)]
+    _write_mm(directory / "huge.mm", n, lambda i, j: 1e60 * (
+        sum(a * b for a, b in zip(factors[i], factors[j])) + rng.gauss(0.0, 0.5)))
+    (directory / "bad_field.json").write_text(
+        '{"kind": "rate_regression", "n_grid": [200], "g_list": [1], '
+        '"replicates": null, "master_seed": 1}\n')
 
 
 def _tree(root):
@@ -181,8 +204,11 @@ def compare_cli(parent, change, work):
     for name, argv in COMMANDS:
         procs = {side: run_rsvdlab(checkout, [*argv, "--out", f"out/{name}"], work / side)
                  for side, checkout in sides.items()}
+        declared, why = DECLARED.get(name, (None, None))
         outs = [_tree(work / side / "out" / name) for side in sides]
-        parts = {"outputs": outs[0] == outs[1],
+        kept = [{path: data for path, data in out.items() if path != declared}
+                for out in outs]
+        parts = {"outputs": kept[0] == kept[1],
                  "stdout": procs["parent"].stdout == procs["change"].stdout,
                  "stderr": procs["parent"].stderr == procs["change"].stderr,
                  "exit": procs["parent"].returncode == procs["change"].returncode}
@@ -193,6 +219,10 @@ def compare_cli(parent, change, work):
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}  ({len(outs[0])} files, "
               f"exit {procs['parent'].returncode} / {procs['change'].returncode})",
               flush=True)
+        if declared:
+            differs = outs[0].get(declared) != outs[1].get(declared)
+            print(f"     declared: {declared} {'DIFFERS' if differs else 'identical'} "
+                  f"({why})", flush=True)
         if not (parts["stderr"] and parts["exit"]):
             for side, proc in procs.items():
                 print(f"     {side} stderr: {proc.stderr.decode().strip()}", flush=True)
